@@ -16,8 +16,7 @@ from .enumeration import CAPACITY, PREDICATES, scan_property
 from .errors import CapacityError, DomainError, GraphParseError, NotSupportedError
 from .formats import FORMATS, format_graph6, parse_graph
 from .graphs import Graph
-from .homology import collapse_to_point, flag_complex, reduced_homology
-from .invariants import bb_structure_graph, finitely_presented_group, invariant_report
+from .invariants import Analysis, bb_structure_graph, finitely_presented_group, invariant_report
 from .recognition import is_chordal, is_droms, is_ptolemaic, is_tree_of_droms
 
 SCHEMA_VERSION = 1
@@ -110,7 +109,9 @@ def _usage(message: str) -> int:
 
 
 def _emit(args, payload: dict, text: str) -> None:
+    """Write the JSON document (with its schema envelope) or the text rendering."""
     if args.format == "json":
+        payload = dict(payload, schema_version=SCHEMA_VERSION, command=args.command)
         data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         data = text if text.endswith("\n") else text + "\n"
@@ -144,8 +145,6 @@ def cmd_classify(args) -> int:
     ptolemaic = is_ptolemaic(g)
     tod = is_tree_of_droms(g)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
         "graph": _graph_json(g),
         "chordal": {
             "verdict": chordal.chordal,
@@ -188,11 +187,7 @@ def cmd_report(args) -> int:
     if args.max_degree < 2:
         raise DomainError("--max-degree must be at least 2")
     report = invariant_report(g, rings=_rings_of(args), degree_bound=args.max_degree)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "report",
-        "report": report.to_json(),
-    }
+    payload = {"report": report.to_json()}
     r = report
     lines = [
         f"graph: {r.v} vertices, {r.e} edges, graph6 {r.graph6}",
@@ -246,14 +241,13 @@ def cmd_report(args) -> int:
 
 def cmd_homology(args) -> int:
     g = _load_graph(args)
-    c = flag_complex(g)
+    a = Analysis(g)
+    c = a.complex
     rings = _rings_of(args)
-    collapse = collapse_to_point(c)
-    hom = {ring: reduced_homology(c, ring) for ring in rings}
-    simply = finitely_presented_group(g)
+    collapse = a.collapse
+    hom = {ring: a.homology(ring) for ring in rings}
+    simply = finitely_presented_group(a)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "homology",
         "graph": _graph_json(g),
         "flag_complex": {
             "dim": c.dim,
@@ -285,8 +279,6 @@ def cmd_structure(args) -> int:
     g = _load_graph(args)
     structure = bb_structure_graph(g)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "structure",
         "graph": _graph_json(g),
         "structure": structure.to_json(),
     }
@@ -307,11 +299,7 @@ def cmd_scan(args) -> int:
         args.predicate, args.max_v, ring=args.ring,
         capacity=args.capacity, workers=args.workers,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
-        "scan": report.to_json(),
-    }
+    payload = {"scan": report.to_json()}
     _emit(args, payload, report.to_text())
     return EXIT_OK if report.failed == 0 else EXIT_SCAN_FAILURES
 

@@ -11,6 +11,7 @@ failing list is sorted at the end.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -234,6 +235,9 @@ def scan_property(
     if predicate not in PREDICATES:
         known = ", ".join(sorted(PREDICATES))
         raise DomainError(f"unknown predicate {predicate!r}; registered: {known}")
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     if not 1 <= max_vertices <= capacity:
         raise CapacityError(
             f"scan bound must be within 1..{capacity}, got {max_vertices}"

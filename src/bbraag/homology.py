@@ -5,7 +5,8 @@ vertex order; boundary signs alternate over vertex deletions in that order.
 Reduced homology uses the augmented chain complex, so degree 0 counts
 components minus one and no degree is special-cased.  Integral homology goes
 through Smith normal form with a deterministic pivot rule; field homology
-through exact rank computations (fraction-free over Q, modular over F_p).
+through exact rank computations (fraction-free over Q, modular over F_p, on
+packed bit rows over F_2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, clique_masks
+from .graphs import Graph, _bits, _mask, clique_masks
 
 IntegerMatrix = list[list[int]]
 
@@ -22,6 +23,11 @@ DEFAULT_ENTRY_LIMIT = 10**100
 
 
 # -- rings ---------------------------------------------------------------------
+
+
+# Miller-Rabin to these 13 bases is exact below the bound (Sorenson-Webster 2015).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def normalize_ring(ring: str) -> str:
@@ -34,7 +40,7 @@ def normalize_ring(ring: str) -> str:
             p = int(tag[3:])
         except ValueError:
             raise DomainError(f"bad finite-field tag {ring!r}") from None
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise DomainError(f"{p} is not prime")
         return f"Fp:{p}"
     raise DomainError(f"unknown ring {ring!r} (expected Z, Q, or Fp:<p>)")
@@ -44,13 +50,22 @@ def is_field(ring: str) -> bool:
     return normalize_ring(ring) != "Z"
 
 
-def field_characteristic(ring: str) -> int:
-    tag = normalize_ring(ring)
-    if tag == "Q":
-        return 0
-    if tag == "Z":
-        raise DomainError("Z is not a field")
-    return int(tag[3:])
+def _is_prime(p: int) -> bool:
+    """Exact: trial division by SMALL_PRIMES, then Miller-Rabin to those bases."""
+    if p < 2 or any(p % q == 0 for q in SMALL_PRIMES):
+        return p in SMALL_PRIMES
+    if p >= MILLER_RABIN_BOUND:
+        raise CapacityError(f"primality is only decided below {MILLER_RABIN_BOUND}, got {p}")
+    odd = p - 1
+    while odd % 2 == 0:
+        odd //= 2
+    for a in SMALL_PRIMES:
+        e, x = odd, pow(a, odd, p)
+        while e != p - 1 and x not in (1, p - 1):
+            e, x = 2 * e, x * x % p
+        if x != p - 1 and e != odd:
+            return False
+    return True
 
 
 # -- complexes -----------------------------------------------------------------
@@ -100,19 +115,33 @@ def flag_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex(g.labels, faces)
 
 
+def _boundary_entries(c: SimplicialComplex, d: int):
+    """(row, col, sign) of each nonzero entry of the degree-d boundary."""
+    if d == 0:
+        yield from ((0, col, 1) for col in range(c.face_count(0)))
+        return
+    rows = {f: i for i, f in enumerate(c.faces[d - 1])}
+    for col, face in enumerate(c.faces[d]):
+        for k in range(len(face)):
+            yield rows[face[:k] + face[k + 1:]], col, -1 if k % 2 else 1
+
+
 def boundary_matrix(c: SimplicialComplex, d: int) -> IntegerMatrix:
     """Boundary from d-chains to (d-1)-chains; d = 0 is the augmentation row."""
     if d < 0 or d > c.dim:
         raise DomainError(f"no boundary in degree {d}")
-    if d == 0:
-        return [[1] * c.face_count(0)]
-    rows = {f: i for i, f in enumerate(c.faces[d - 1])}
-    mat = [[0] * c.face_count(d) for _ in range(c.face_count(d - 1))]
-    for col, face in enumerate(c.faces[d]):
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            mat[rows[sub]][col] = -1 if k % 2 else 1
+    mat = [[0] * c.face_count(d) for _ in range(c.face_count(d - 1) if d else 1)]
+    for row, col, sign in _boundary_entries(c, d):
+        mat[row][col] = sign
     return mat
+
+
+def _boundary_bits(c: SimplicialComplex, d: int) -> list[int]:
+    """The degree-d boundary over F_2 as row bitmasks, for :func:`_rank_gf2`."""
+    rows = [0] * (c.face_count(d - 1) if d else 1)
+    for row, col, _ in _boundary_entries(c, d):
+        rows[row] |= 1 << col
+    return rows
 
 
 # -- exact linear algebra ---------------------------------------------------------
@@ -360,21 +389,18 @@ class HomologyGroups:
 def reduced_homology(c: SimplicialComplex, ring: str) -> HomologyGroups:
     tag = normalize_ring(ring)
     dim = c.dim
-    if dim < 0:
-        return HomologyGroups(tag, ())
     ranks = []
-    torsions: list[tuple[int, ...]] = []
+    torsions: list[tuple[int, ...]] = [()] * (dim + 2)
     for d in range(dim + 1):
-        mat = boundary_matrix(c, d)
         if tag == "Z":
-            snf = smith_normal_form(mat)
+            snf = smith_normal_form(boundary_matrix(c, d))
             ranks.append(snf.rank)
-            torsions.append(tuple(f for f in snf.factors if f > 1))
+            torsions[d] = tuple(f for f in snf.factors if f > 1)
+        elif tag == "Fp:2":
+            ranks.append(_rank_gf2(_boundary_bits(c, d)))
         else:
-            ranks.append(rank_over_field(mat, tag))
-            torsions.append(())
+            ranks.append(rank_over_field(boundary_matrix(c, d), tag))
     ranks.append(0)
-    torsions.append(())
     groups = []
     for i in range(dim + 1):
         free = c.face_count(i) - ranks[i] - ranks[i + 1]
@@ -410,13 +436,7 @@ def collapse_to_point(c: SimplicialComplex) -> CollapseResult:
     COLLAPSIBLE certifies contractibility (hence simple connectivity); STUCK is
     inconclusive, so callers must not read it as a negative.
     """
-    faces: set[int] = set()
-    for fs in c.faces:
-        for f in fs:
-            mask = 0
-            for i in f:
-                mask |= 1 << i
-            faces.add(mask)
+    faces = {_mask(f) for fs in c.faces for f in fs}
     over: dict[int, int] = {f: 0 for f in faces}
     for g in faces:
         for sub in _proper_submasks(g):
@@ -464,23 +484,10 @@ def acyclic_over_z_fast(c: SimplicialComplex) -> bool:
     numbers), then a greedy collapse as a sufficient certificate, and the full
     integral computation only when both are silent.
     """
-    if c.dim < 0:
-        return False
     if c.euler_characteristic() != 1:
         return False
-    counts = [c.face_count(d) for d in range(c.dim + 1)]
-    ranks = [1 if counts[0] else 0]
-    for d in range(1, c.dim + 1):
-        rows = {f: i for i, f in enumerate(c.faces[d - 1])}
-        packed = [0] * counts[d - 1]
-        for col, face in enumerate(c.faces[d]):
-            for k in range(len(face)):
-                packed[rows[face[:k] + face[k + 1:]]] |= 1 << col
-        ranks.append(_rank_gf2(packed))
-    ranks.append(0)
-    for i in range(c.dim + 1):
-        if counts[i] - ranks[i] - ranks[i + 1]:
-            return False
+    if not reduced_homology(c, "Fp:2").trivial():
+        return False
     if collapse_to_point(c).collapsible:
         return True
     return is_acyclic(c, "Z")

@@ -8,17 +8,22 @@ Bestvina-Brady object when the structure theory applies, the omega invariant
 with its identity and the related inequalities, and the graded cohomology
 dimensions with the Koszul Hilbert-series consistency check.  All arithmetic
 is exact integers; nothing here touches floating point.
+
+Each per-graph function accepts a Graph or an :class:`Analysis`; functions
+handed the same Analysis share its flag complex, homology and verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import DomainError, NotSupportedError
 from .formats import format_graph6
 from .graphs import (
     Graph,
+    _mask,
     blocks_at,
     central_vertices,
     clique_number,
@@ -26,7 +31,9 @@ from .graphs import (
     is_connected,
 )
 from .homology import (
+    CollapseResult,
     HomologyGroups,
+    SimplicialComplex,
     collapse_to_point,
     flag_complex,
     is_field,
@@ -42,39 +49,87 @@ from .recognition import (
     is_tree_of_droms,
 )
 
+# -- shared per-graph context ----------------------------------------------------
+
+
+class Analysis:
+    """What one call derives from one graph, each part computed at most once.
+
+    The library builds one per call and keeps none between calls.  Never look
+    one up by Graph: face indices follow the vertex order, which Graph
+    equality ignores.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._homology: dict[str, HomologyGroups] = {}
+        self._cohomology: dict[str, CohomologyQuotient] = {}
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return flag_complex(self.graph)
+
+    @cached_property
+    def collapse(self) -> CollapseResult:
+        return collapse_to_point(self.complex)
+
+    @cached_property
+    def tree_of_droms(self) -> TreeOfDromsResult:
+        return is_tree_of_droms(self.graph)
+
+    def homology(self, ring: str) -> HomologyGroups:
+        tag = normalize_ring(ring)
+        if tag not in self._homology:
+            self._homology[tag] = reduced_homology(self.complex, tag)
+        return self._homology[tag]
+
+    def cohomology(self, ring: str) -> CohomologyQuotient:
+        tag = normalize_ring(ring)
+        if tag not in self._cohomology:
+            self._cohomology[tag] = _cohomology_quotient(self, tag)
+        return self._cohomology[tag]
+
+
+GraphOrAnalysis = Union[Graph, Analysis]
+
+
+def _analysis(g: GraphOrAnalysis) -> Analysis:
+    return g if isinstance(g, Analysis) else Analysis(g)
+
+
 # -- FP-type ---------------------------------------------------------------------
 
 
-def fp_type(g: Graph, ring: str = "Q") -> Optional[int]:
+def fp_type(g: GraphOrAnalysis, ring: str = "Q") -> Optional[int]:
     """Largest n such that the flag complex is (n-1)-acyclic over the ring.
 
     ``None`` means FP_infinity (all reduced homology vanishes).  n = 0 means
     the Bestvina-Brady object is not even finitely generated (g disconnected).
     """
-    hom = reduced_homology(flag_complex(g), ring)
+    hom = _analysis(g).homology(ring)
     for i, (free, torsion) in enumerate(hom.groups):
         if free or torsion:
             return i
     return None
 
 
-def finitely_presented_lie(g: Graph, ring: str) -> bool:
+def finitely_presented_lie(g: GraphOrAnalysis, ring: str) -> bool:
     """Exact over a field: FP_2 and finite presentation coincide for the Lie object."""
     fp = fp_type(g, ring)
     return fp is None or fp >= 2
 
 
-def finitely_presented_group(g: Graph) -> str:
+def finitely_presented_group(g: GraphOrAnalysis) -> str:
     """Three-valued: YES via collapsibility, NO via nonzero integral H_1, else UNKNOWN.
 
     Simple connectivity of the flag complex is what finite presentation of the
     group needs, and that is not decided here in general.
     """
-    c = flag_complex(g)
-    hom = reduced_homology(c, "Z")
+    a = _analysis(g)
+    hom = a.homology("Z")
     if hom.free_rank(1) or hom.torsion(1):
         return "NO"
-    if collapse_to_point(c).collapsible:
+    if a.collapse.collapsible:
         return "YES"
     return "UNKNOWN"
 
@@ -94,9 +149,9 @@ class CoherenceResult:
         return out
 
 
-def coherence(g: Graph) -> CoherenceResult:
+def coherence(g: GraphOrAnalysis) -> CoherenceResult:
     """The Bestvina-Brady object is coherent exactly when the graph is chordal."""
-    res = is_chordal(g)
+    res = is_chordal(_analysis(g).graph)
     return CoherenceResult(res.chordal, res)
 
 
@@ -110,9 +165,10 @@ class BBFreeResult:
         return {"free": self.free, "rank": self.rank, "reason": self.reason}
 
 
-def bb_free(g: Graph) -> BBFreeResult:
+def bb_free(g: GraphOrAnalysis) -> BBFreeResult:
     """Free of rank v-1 exactly for trees."""
-    if g.n == 0 or not is_connected(g):
+    g = _analysis(g).graph
+    if not is_connected(g):
         return BBFreeResult(False, None, "disconnected: not finitely generated")
     if g.edge_count == g.n - 1:
         return BBFreeResult(True, g.n - 1, "tree")
@@ -130,9 +186,10 @@ class BBAbelianResult:
         return {"abelian": self.abelian, "rank": self.rank}
 
 
-def bb_abelian(g: Graph) -> BBAbelianResult:
+def bb_abelian(g: GraphOrAnalysis) -> BBAbelianResult:
     """Abelian of rank v-1 exactly for complete graphs; needs g connected."""
-    if g.n == 0 or not is_connected(g):
+    g = _analysis(g).graph
+    if not is_connected(g):
         raise DomainError("bb_abelian needs a connected graph")
     if g.edge_count == g.n * (g.n - 1) // 2:
         return BBAbelianResult(True, g.n - 1)
@@ -157,10 +214,11 @@ class SubgroupsRaagResult:
         return out
 
 
-def subgroups_raag(g: Graph) -> SubgroupsRaagResult:
-    if g.n == 0 or not is_connected(g):
+def subgroups_raag(g: GraphOrAnalysis) -> SubgroupsRaagResult:
+    a = _analysis(g)
+    if not is_connected(a.graph):
         raise DomainError("subgroups_raag needs a connected graph")
-    res: TreeOfDromsResult = is_tree_of_droms(g)
+    res = a.tree_of_droms
     if res.tree_of_droms:
         text = (
             "tree of Droms graphs: every subgroup of the Bestvina-Brady group is a "
@@ -213,41 +271,44 @@ class StructureGraph:
         }
 
 
-def bb_structure_graph(g: Graph) -> StructureGraph:
+def bb_structure_graph(g: GraphOrAnalysis) -> StructureGraph:
     """Cone strips and free-product splits down to a RAAG defining graph.
 
     A cone over any graph H has Bestvina-Brady object the RAAG on H, so a
     central vertex resolves the graph in one step.  At a cut vertex of a tree
     of Droms graphs the object splits as a free product over the blocks; the
     split renames block vertices with an index prefix because blocks share the
-    cut vertex.  Anything else is refused rather than guessed.
+    cut vertex.  Anything else is refused rather than guessed.  Blocks of a
+    tree of Droms graphs are again trees of Droms graphs, so the verdict is
+    checked once, at the top, and the graph is built by replaying the log.
     """
-    if g.n == 0 or not is_connected(g):
+    a = _analysis(g)
+    g = a.graph
+    if not is_connected(g):
         raise DomainError("bb_structure_graph needs a nonempty connected graph")
-    centrals = central_vertices(g)
-    if centrals:
-        strip = ConeStrip(centrals[0])
-        return StructureGraph(g.without(centrals[0]), strip)
-    tod = is_tree_of_droms(g)
-    if not tod.tree_of_droms:
+    if not central_vertices(g) and not a.tree_of_droms.tree_of_droms:
+        witness = a.tree_of_droms.witness
         raise NotSupportedError(
             "no central vertex and not a tree of Droms graphs "
-            f"(obstruction {tod.witness.pattern} on {list(tod.witness.vertices)})"
+            f"(obstruction {witness.pattern} on {list(witness.vertices)})"
         )
+    derivation = _derive_structure(g)
+    return StructureGraph(replay_structure(g, derivation), derivation)
+
+
+def _derive_structure(g: Graph) -> Derivation:
+    """Strip a central vertex if there is one, else split at the smallest cut vertex."""
+    centrals = central_vertices(g)
+    if centrals:
+        return ConeStrip(centrals[0])
     cut = cut_vertices(g)[0]
-    parts = []
-    pieces: list[Graph] = []
-    for k, block in enumerate(blocks_at(g, cut).blocks):
-        sub = bb_structure_graph(g.induced(block))
-        parts.append(sub.derivation)
-        pieces.append(sub.graph.relabeled({v: f"{k}:{v}" for v in sub.graph.labels}))
-    labels = [v for piece in pieces for v in piece.labels]
-    edges = [e for piece in pieces for e in piece.edges()]
-    return StructureGraph(Graph(labels, edges), FreeSplit(cut, tuple(parts)))
+    blocks = blocks_at(g, cut).blocks
+    return FreeSplit(cut, tuple(_derive_structure(g.induced(b)) for b in blocks))
 
 
-def replay_structure(g: Graph, derivation: Derivation) -> Graph:
+def replay_structure(g: GraphOrAnalysis, derivation: Derivation) -> Graph:
     """Re-run a derivation log against ``g``; must reproduce the claimed graph."""
+    g = _analysis(g).graph
     if isinstance(derivation, ConeStrip):
         if derivation.apex not in central_vertices(g):
             raise DomainError(f"replay: {derivation.apex!r} is not central")
@@ -299,7 +360,7 @@ class OmegaIdentityResult:
         }
 
 
-def omega_identity_check(g: Graph, ring: str = "Q") -> OmegaIdentityResult:
+def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityResult:
     """Exactly compare (n+1) * omega(BB) against n * omega(RAAG) - (b1 - n - 1)^2.
 
     Needs g connected with 1-acyclic flag complex over the ring, so that the
@@ -308,13 +369,14 @@ def omega_identity_check(g: Graph, ring: str = "Q") -> OmegaIdentityResult:
     object is evaluated by the raw formula so the degenerate edgeless case
     (n = 0) is still checked.
     """
-    if g.n == 0 or not is_connected(g):
+    a = _analysis(g)
+    if not is_connected(a.graph):
         return OmegaIdentityResult(False, "graph not connected")
-    hom = reduced_homology(flag_complex(g), ring)
+    hom = a.homology(ring)
     if hom.free_rank(1) or hom.torsion(1):
         return OmegaIdentityResult(False, f"flag complex not 1-acyclic over {ring}")
-    v, e = g.n, g.edge_count
-    n = clique_number(g) - 1
+    v, e = a.graph.n, a.graph.edge_count
+    n = a.complex.dim
     lhs = (n + 1) * _omega_raw(v - 1, e - v + 1, n)
     rhs = n * _omega_raw(v, e, n + 1) - (v - n - 1) ** 2
     return OmegaIdentityResult(True, "", lhs, rhs, lhs == rhs)
@@ -348,9 +410,11 @@ DROMS_TREE_BOUND_NOTE = (
 )
 
 
-def inequality_checks(g: Graph, ring: str = "Z") -> dict[str, InequalityOutcome]:
+def inequality_checks(g: GraphOrAnalysis, ring: str = "Z") -> dict[str, InequalityOutcome]:
     """The named integer inequalities, each evaluated exactly or skipped with reason."""
-    v, e = g.n, g.edge_count
+    a = _analysis(g)
+    c = a.complex
+    v, e = a.graph.n, a.graph.edge_count
     out: dict[str, InequalityOutcome] = {}
 
     if v == 0:
@@ -358,13 +422,12 @@ def inequality_checks(g: Graph, ring: str = "Z") -> dict[str, InequalityOutcome]
             "turan_nonneg", False, reason="empty graph"
         )
     else:
-        w = _omega_raw(v, e, clique_number(g))
+        w = _omega_raw(v, e, c.dim + 1)
         out["turan_nonneg"] = InequalityOutcome(
             "turan_nonneg", True, lhs=w, rhs=0, passed=w >= 0
         )
 
-    c = flag_complex(g)
-    acyclic = v > 0 and reduced_homology(c, ring).trivial()
+    acyclic = v > 0 and a.homology(ring).trivial()
     n = c.dim
     if acyclic:
         lhs = n * (v * v - 2 * e - 1)
@@ -377,8 +440,8 @@ def inequality_checks(g: Graph, ring: str = "Z") -> dict[str, InequalityOutcome]
             "acyclic_dim_bound", False, reason=f"flag complex not acyclic over {ring}"
         )
 
-    tod = is_tree_of_droms(g) if v else None
-    if tod is not None and tod.tree_of_droms:
+    tod = a.tree_of_droms
+    if tod.tree_of_droms:
         lhs = n * (v * v - 2 * e - 2)
         rhs = (v - 1) ** 2
         out["droms_tree_bound"] = InequalityOutcome(
@@ -430,23 +493,13 @@ class CohomologyQuotient:
         return {"ring": self.ring, "dims": list(self.dims), "koszul": self.koszul}
 
 
-def _cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
-    c = flag_complex(g)
-    by_size: list[list[tuple[int, ...]]] = [[()]]
-    for d in range(c.dim + 1):
-        by_size.append(list(c.faces[d]))
-    return by_size
-
-
 def _chi_matrix(g: Graph, cliques, size: int) -> list[list[int]]:
     """Left multiplication by the vertex sum, degree size-1 -> size."""
     source = cliques[size - 1]
     target = {f: i for i, f in enumerate(cliques[size])}
     mat = [[0] * len(source) for _ in target]
     for col, s in enumerate(source):
-        smask = 0
-        for i in s:
-            smask |= 1 << i
+        smask = _mask(s)
         for v in range(g.n):
             if (smask >> v) & 1:
                 continue
@@ -458,21 +511,20 @@ def _chi_matrix(g: Graph, cliques, size: int) -> list[list[int]]:
     return mat
 
 
-def bb_cohomology_dimensions(g: Graph, ring: str = "Q") -> CohomologyQuotient:
+def bb_cohomology_dimensions(g: GraphOrAnalysis, ring: str = "Q") -> CohomologyQuotient:
     """dim of each graded piece: (#i-cliques) - rank of the character multiplication."""
-    tag = normalize_ring(ring)
+    return _analysis(g).cohomology(ring)
+
+
+def _cohomology_quotient(a: Analysis, tag: str) -> CohomologyQuotient:
     if not is_field(tag):
         raise DomainError("bb_cohomology_dimensions needs a field (Q or Fp:<p>)")
-    cliques = _cliques_by_size(g)
-    top = len(cliques) - 1
+    cliques = ((),), *a.complex.faces
     dims = [1]
-    for size in range(1, top + 1):
-        if not cliques[size]:
-            dims.append(0)
-            continue
-        rank = rank_over_field(_chi_matrix(g, cliques, size), tag)
+    for size in range(1, len(cliques)):
+        rank = rank_over_field(_chi_matrix(a.graph, cliques, size), tag)
         dims.append(len(cliques[size]) - rank)
-    acyclic = g.n > 0 and reduced_homology(flag_complex(g), tag).trivial()
+    acyclic = a.graph.n > 0 and a.homology(tag).trivial()
     return CohomologyQuotient(tag, tuple(dims), True if acyclic else None)
 
 
@@ -501,7 +553,9 @@ class HilbertCheckResult:
         }
 
 
-def koszul_hilbert_check(g: Graph, degree_bound: int = 12, ring: str = "Q") -> HilbertCheckResult:
+def koszul_hilbert_check(
+    g: GraphOrAnalysis, degree_bound: int = 12, ring: str = "Q"
+) -> HilbertCheckResult:
     """Verify h_A(-t) * h_U(t) = 1 coefficientwise up to the degree bound.
 
     h_U(t) = (1 - t) / C(-t) with C the clique polynomial: the enveloping
@@ -516,21 +570,22 @@ def koszul_hilbert_check(g: Graph, degree_bound: int = 12, ring: str = "Q") -> H
     tag = normalize_ring(ring)
     if not is_field(tag):
         raise DomainError("koszul_hilbert_check needs a field")
-    if g.n == 0 or not is_connected(g):
+    a = _analysis(g)
+    if not is_connected(a.graph):
         return HilbertCheckResult(False, "graph not connected", degree_bound)
-    if not reduced_homology(flag_complex(g), tag).trivial():
+    if not a.homology(tag).trivial():
         return HilbertCheckResult(
             False, f"flag complex not acyclic over {tag}", degree_bound
         )
     n = degree_bound
-    counts = [len(cs) for cs in _cliques_by_size(g)]
+    counts = [1] + [len(fs) for fs in a.complex.faces]
     dseries = [(-1) ** k * counts[k] if k < len(counts) else 0 for k in range(n + 1)]
     inv = [0] * (n + 1)
     inv[0] = 1
     for k in range(1, n + 1):
         inv[k] = -sum(dseries[j] * inv[k - j] for j in range(1, k + 1))
     h_u = [inv[k] - (inv[k - 1] if k else 0) for k in range(n + 1)]
-    dims = bb_cohomology_dimensions(g, tag).dims
+    dims = bb_cohomology_dimensions(a, tag).dims
     h_a = [dims[k] if k < len(dims) else 0 for k in range(n + 1)]
     product = [
         sum((-1) ** j * h_a[j] * h_u[k - j] for j in range(k + 1)) for k in range(n + 1)
@@ -617,37 +672,32 @@ class InvariantReport:
 
 
 def invariant_report(
-    g: Graph, rings: tuple[str, ...] = ("Z", "Q"), degree_bound: int = 12
+    g: GraphOrAnalysis, rings: tuple[str, ...] = ("Z", "Q"), degree_bound: int = 12
 ) -> InvariantReport:
     """Assemble every verdict and number for one graph, deterministically."""
-    tags = []
-    for ring in rings:
-        tag = normalize_ring(ring)
-        if tag not in tags:
-            tags.append(tag)
-    connected = g.n > 0 and is_connected(g)
+    a = _analysis(g)
+    g = a.graph
+    tags = list(dict.fromkeys(normalize_ring(ring) for ring in rings))
+    connected = is_connected(g)
     v, e = g.n, g.edge_count
-    cd = clique_number(g)
-    c = flag_complex(g)
+    c = a.complex
+    cd = c.dim + 1
     ring_reports = []
     for tag in tags:
-        hom = reduced_homology(c, tag)
-        fp = None
-        for i, (free, torsion) in enumerate(hom.groups):
-            if free or torsion:
-                fp = i
-                break
+        hom = a.homology(tag)
         one_acyclic = connected and not (hom.free_rank(1) or hom.torsion(1))
         b2_bb = e - v + 1 if one_acyclic else None
         omega_bb = _omega_raw(v - 1, b2_bb, c.dim) if b2_bb is not None else None
         ring_reports.append(
-            RingReport(tag, fp, b2_bb, omega_bb, fp is None or fp >= 2, hom)
+            RingReport(
+                tag, fp_type(a, tag), b2_bb, omega_bb, finitely_presented_lie(a, tag), hom
+            )
         )
     structure = None
     structure_error = ""
     if connected:
         try:
-            structure = bb_structure_graph(g)
+            structure = bb_structure_graph(a)
         except NotSupportedError as exc:
             structure_error = str(exc)
     else:
@@ -665,15 +715,15 @@ def invariant_report(
         b1_bb=v - 1 if connected else None,
         omega_raag=_omega_raw(v, e, cd) if v else None,
         rings=tuple(ring_reports),
-        coherent=coherence(g),
-        bb_free=bb_free(g),
-        bb_abelian=bb_abelian(g) if connected else None,
-        subgroups_raag=subgroups_raag(g) if connected else None,
-        finitely_presented_group=finitely_presented_group(g),
+        coherent=coherence(a),
+        bb_free=bb_free(a),
+        bb_abelian=bb_abelian(a) if connected else None,
+        subgroups_raag=subgroups_raag(a) if connected else None,
+        finitely_presented_group=finitely_presented_group(a),
         structure=structure,
         structure_error=structure_error,
-        omega_identity=omega_identity_check(g, field_tag),
-        inequalities=inequality_checks(g),
-        hilbert=koszul_hilbert_check(g, degree_bound, field_tag),
-        cohomology=bb_cohomology_dimensions(g, field_tag),
+        omega_identity=omega_identity_check(a, field_tag),
+        inequalities=inequality_checks(a),
+        hilbert=koszul_hilbert_check(a, degree_bound, field_tag),
+        cohomology=bb_cohomology_dimensions(a, field_tag),
     )

@@ -361,16 +361,22 @@ def _removable_step(g: Graph) -> Optional[BuildStep]:
     return None
 
 
-def is_ptolemaic(g: Graph) -> PtolemaicResult:
-    """Connected + chordal + gem-free, certified by a leaf/twin build sequence."""
-    if g.n == 0 or not is_connected(g):
-        return PtolemaicResult(False, witness=ForbiddenWitness(DISCONNECTED, ()))
+def _ptolemaic_witness(g: Graph) -> Optional[ForbiddenWitness]:
+    """Why ``g`` is not connected, chordal and gem-free; None when it is."""
+    if not is_connected(g):
+        return ForbiddenWitness(DISCONNECTED, ())
     chord = is_chordal(g)
     if not chord.chordal:
-        return PtolemaicResult(False, witness=chord.witness)
+        return chord.witness
     gem = find_induced(g, "GEM")
-    if gem is not None:
-        return PtolemaicResult(False, witness=ForbiddenWitness("GEM", gem))
+    return None if gem is None else ForbiddenWitness("GEM", gem)
+
+
+def is_ptolemaic(g: Graph) -> PtolemaicResult:
+    """Connected + chordal + gem-free, certified by a leaf/twin build sequence."""
+    witness = _ptolemaic_witness(g)
+    if witness is not None:
+        return PtolemaicResult(False, witness=witness)
     steps: list[BuildStep] = []
     current = g
     while current.n > 1:
@@ -393,7 +399,9 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
     Prefers a central vertex (cone stripping shrinks fastest); smallest label
     breaks ties.  Violated preconditions raise DomainError naming the clause.
     """
-    _require_tree_of_droms_class(g)
+    witness = _tree_of_droms_witness(g)
+    if witness is not None:
+        raise DomainError(f"precondition violated: {witness.pattern} on {witness.vertices}")
     centrals = central_vertices(g)
     if centrals:
         return ("central", centrals[0])
@@ -403,25 +411,12 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
     raise AssertionError("connected chordal gem-free hbar-free graph with neither")
 
 
-def _require_tree_of_droms_class(g: Graph):
-    witness = _tree_of_droms_witness(g)
-    if witness is not None:
-        raise DomainError(f"precondition violated: {witness.pattern} on {witness.vertices}")
-
-
 def _tree_of_droms_witness(g: Graph) -> Optional[ForbiddenWitness]:
-    if g.n == 0 or not is_connected(g):
-        return ForbiddenWitness(DISCONNECTED, ())
-    chord = is_chordal(g)
-    if not chord.chordal:
-        return chord.witness
-    gem = find_induced(g, "GEM")
-    if gem is not None:
-        return ForbiddenWitness("GEM", gem)
+    witness = _ptolemaic_witness(g)
+    if witness is not None:
+        return witness
     hbar = find_induced(g, "HBAR")
-    if hbar is not None:
-        return ForbiddenWitness("HBAR", hbar)
-    return None
+    return None if hbar is None else ForbiddenWitness("HBAR", hbar)
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,15 @@ def test_symmetric_worst_cases():
         assert canonical_form(g) == canonical_form(h)
 
 
-@pytest.mark.parametrize("name,module", kernel.available_backends())
-def test_backends_match_reference(name, module):
+@pytest.mark.parametrize(
+    "name,module_name", [("pure-python", "bbraag._canon_py"), ("cython", "bbraag._canon_cy")]
+)
+def test_backends_match_reference(name, module_name):
     from bbraag import _canon_py
+
+    module = dict(kernel.available_backends()).get(name)
+    if module is None:
+        pytest.skip(f"{module_name} is not built in this environment")
 
     rng = random.Random(77)
     for _ in range(300):

@@ -179,3 +179,33 @@ def test_report_gem_golden(capsys, gem_file):
         "applicable": True, "lhs": 12, "passed": True, "reason": "", "rhs": 12,
     }
     assert payload["structure"]["derivation"] == {"op": "cone_strip", "apex": "z"}
+
+
+def test_ring_above_primality_bound_exit_4(capsys):
+    code, _, err = run(
+        capsys, "homology", "--graph6", "Bw", "--ring", "Fp:3317044064679887385962123"
+    )
+    assert code == 4
+    assert "capacity" in err
+
+
+def test_scan_workers_zero_exit_3(capsys):
+    code, _, err = run(capsys, "scan", "turan_nonneg", "--max-v", "3", "--workers", "0")
+    assert code == 3
+    assert "workers" in err
+
+
+def test_homology_collapses_once(capsys, monkeypatch, gem_file):
+    import bbraag.invariants as inv
+
+    calls = []
+    real = inv.collapse_to_point
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(inv, "collapse_to_point", counting)
+    code, _, _ = run(capsys, "homology", "--input", gem_file, "--ring", "Z", "--ring", "Q")
+    assert code == 0
+    assert len(calls) == 1

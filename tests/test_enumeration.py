@@ -91,6 +91,34 @@ def test_scan_workers_match_sequential():
     assert seq == par
 
 
+def test_scan_workers_bounded(monkeypatch):
+    import bbraag.enumeration as enumeration
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    assert scan_dim_bound(4, workers=10**6) == scan_dim_bound(4)
+    assert started == [3]
+    for bad in (0, -2):
+        with pytest.raises(DomainError):
+            scan_dim_bound(4, workers=bad)
+    assert started == [3]
+
+
 def test_dim_bound_small():
     rep = scan_dim_bound(3)
     # K1, K2, P3, K3 all have contractible flag complexes

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -32,6 +33,27 @@ def test_ring_normalization():
         normalize_ring("Fp:6")
     with pytest.raises(DomainError):
         normalize_ring("R")
+
+
+def test_ring_primality_exact_and_bounded():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, p))
+
+    for p in range(2, 3000):
+        tag = f"Fp:{p}"
+        if trial_division(p):
+            assert normalize_ring(tag) == tag
+        else:
+            with pytest.raises(DomainError):
+                normalize_ring(tag)
+    start = time.perf_counter()
+    assert normalize_ring("Fp:1000000000000000003") == "Fp:1000000000000000003"
+    assert time.perf_counter() - start < 1.0
+    # 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5 and 7
+    with pytest.raises(DomainError):
+        normalize_ring("Fp:3215031751")
+    with pytest.raises(CapacityError):
+        normalize_ring("Fp:3317044064679887385962123")
 
 
 # -- flag complexes ------------------------------------------------------------------
@@ -314,6 +336,17 @@ def test_projective_plane_fp_type_depends_on_field():
     assert fp_type(g, "Fp:2") == 1
     assert fp_type(g, "Fp:3") is None
     assert fp_type(g, "Z") == 1
+
+
+def test_gf2_bit_rows_match_modular_rank():
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    for g in graphs + [projective_plane_poset_graph()]:
+        c = flag_complex(g)
+        ranks = [rank_over_field(boundary_matrix(c, d), "Fp:2") for d in range(c.dim + 1)]
+        ranks.append(0)
+        betti = [c.face_count(i) - ranks[i] - ranks[i + 1] for i in range(c.dim + 1)]
+        h = reduced_homology(c, "Fp:2")
+        assert [h.free_rank(i) for i in range(c.dim + 1)] == betti
 
 
 def test_universal_coefficients_spot_checks():

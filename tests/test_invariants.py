@@ -7,6 +7,7 @@ import pytest
 from bbraag.errors import DomainError, NotSupportedError
 from bbraag.graphs import Graph, is_connected
 from bbraag.invariants import (
+    Analysis,
     bb_abelian,
     bb_cohomology_dimensions,
     bb_free,
@@ -392,6 +393,45 @@ def test_report_k3():
     assert rep.bb_abelian.abelian and rep.bb_abelian.rank == 2
     assert rep.cohomology.dims == (1, 2, 1, 0)
     assert rep.structure.graph.edge_count == 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gem_graph(), cycle_graph(4), Graph("abcx", [("a", "b"), ("b", "c")])],
+    ids=["gem", "C4", "disconnected"],
+)
+def test_report_builds_complex_and_homology_once_per_call(monkeypatch, g):
+    import bbraag.invariants as inv
+
+    complexes, rings = [], []
+    real_complex, real_homology = inv.flag_complex, inv.reduced_homology
+
+    def counting_complex(graph):
+        complexes.append(graph)
+        return real_complex(graph)
+
+    def counting_homology(c, ring):
+        rings.append(ring)
+        return real_homology(c, ring)
+
+    monkeypatch.setattr(inv, "flag_complex", counting_complex)
+    monkeypatch.setattr(inv, "reduced_homology", counting_homology)
+    first = invariant_report(g, rings=("Z", "Q", "Fp:2"))
+    assert len(complexes) == 1
+    assert sorted(rings) == ["Fp:2", "Q", "Z"]
+    # no cache outlives a call: the same graph is analysed again
+    assert invariant_report(g, rings=("Z", "Q", "Fp:2")) == first
+    assert len(complexes) == 2
+    assert sorted(rings) == ["Fp:2", "Fp:2", "Q", "Q", "Z", "Z"]
+
+
+def test_analysis_shared_across_functions():
+    a = Analysis(gem_graph())
+    assert fp_type(a, "Q") == fp_type(gem_graph(), "Q")
+    assert finitely_presented_group(a) == "YES"
+    assert not subgroups_raag(a).holds
+    assert bb_structure_graph(a) == bb_structure_graph(gem_graph())
+    assert invariant_report(a) == invariant_report(gem_graph())
 
 
 def test_fp2_iff_h1_vanishes():
