@@ -17,7 +17,7 @@ from .errors import CapacityError, DomainError, GraphParseError, NotSupportedErr
 from .formats import FORMATS, format_graph6, parse_graph
 from .graphs import Graph
 from .invariants import Analysis, bb_structure_graph, finitely_presented_group, invariant_report
-from .recognition import is_chordal, is_droms, is_ptolemaic, is_tree_of_droms
+from .recognition import is_droms, is_ptolemaic
 
 SCHEMA_VERSION = 1
 
@@ -138,42 +138,32 @@ def _graph_json(g: Graph) -> dict:
     }
 
 
+def _json_or_none(x):
+    if not x:
+        return None
+    return list(x) if isinstance(x, tuple) else x.to_json()
+
+
 def cmd_classify(args) -> int:
     g = _load_graph(args)
-    chordal = is_chordal(g)
-    droms = is_droms(g)
-    ptolemaic = is_ptolemaic(g)
-    tod = is_tree_of_droms(g)
-    payload = {
-        "graph": _graph_json(g),
-        "chordal": {
-            "verdict": chordal.chordal,
-            "elimination_order": list(chordal.elimination_order or ()) or None,
-            "witness": chordal.witness.to_json() if chordal.witness else None,
-        },
-        "droms": {
-            "verdict": droms.droms,
-            "certificate": droms.certificate.to_json() if droms.certificate else None,
-            "witness": droms.witness.to_json() if droms.witness else None,
-        },
-        "ptolemaic": {
-            "verdict": ptolemaic.ptolemaic,
-            "certificate": ptolemaic.certificate.to_json() if ptolemaic.certificate else None,
-            "witness": ptolemaic.witness.to_json() if ptolemaic.witness else None,
-        },
-        "tree_of_droms": {
-            "verdict": tod.tree_of_droms,
-            "decomposition": tod.decomposition.to_json() if tod.decomposition else None,
-            "witness": tod.witness.to_json() if tod.witness else None,
-        },
-    }
-    lines = [
-        f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {format_graph6(g)}",
-        f"chordal:       {'yes' if chordal.chordal else 'no  ' + _witness_text(chordal.witness)}",
-        f"droms:         {'yes' if droms.droms else 'no  ' + _witness_text(droms.witness)}",
-        f"ptolemaic:     {'yes' if ptolemaic.ptolemaic else 'no  ' + _witness_text(ptolemaic.witness)}",
-        f"tree_of_droms: {'yes' if tod.tree_of_droms else 'no  ' + _witness_text(tod.witness)}",
-    ]
+    a = Analysis(g)
+    # (class, result, certificate field); the verdict field is named after the class
+    verdicts = (
+        ("chordal", a.chordality, "elimination_order"),
+        ("droms", is_droms(g), "certificate"),
+        ("ptolemaic", is_ptolemaic(g, a.chordality), "certificate"),
+        ("tree_of_droms", a.tree_of_droms, "decomposition"),
+    )
+    payload = {"graph": _graph_json(g)}
+    lines = [f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {format_graph6(g)}"]
+    for name, res, cert_field in verdicts:
+        verdict = getattr(res, name)
+        payload[name] = {
+            "verdict": verdict,
+            cert_field: _json_or_none(getattr(res, cert_field)),
+            "witness": _json_or_none(res.witness),
+        }
+        lines.append(f"{name + ':':<15}{'yes' if verdict else 'no  ' + _witness_text(res.witness)}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

@@ -5,7 +5,8 @@ nonempty neighborhood subsets and dedupes by canonical form, which reaches
 every connected n-vertex graph exactly once.  Streams are ordered by canonical
 graph6 bytes, so scans are reproducible and order-independent; a scan can
 fan out over a worker pool because its counts merge associatively and the
-failing list is sorted at the end.
+failing list is sorted at the end.  Each predicate receives one
+:class:`~bbraag.invariants.Analysis` per graph, the context the report uses.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Callable, Iterator
 
 from . import _g6, kernel
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, clique_number, is_connected
-from .homology import acyclic_over_z_fast, flag_complex, is_acyclic
-from .invariants import _omega_raw, koszul_hilbert_check, omega_identity_check
-from .recognition import find_induced, is_chordal, is_tree_of_droms, replay_tree_of_droms
+from .graphs import Graph, _bits, blocks_at, cut_vertices, is_connected
+from .homology import normalize_ring
+from .invariants import INEQUALITIES, Analysis, koszul_hilbert_check, omega_identity_check
+from .recognition import is_droms, is_tree_of_droms, replay_tree_of_droms
 
 CAPACITY = 9
 
@@ -70,72 +71,70 @@ def connected_graph_count(n: int, capacity: int = CAPACITY) -> int:
 
 # -- predicates ----------------------------------------------------------------------
 
-Predicate = Callable[[Graph, str], tuple[bool, bool]]
+Predicate = Callable[[Analysis, str], tuple[bool, bool]]
 
 
-def _pred_acyclic_dim_bound(g: Graph, ring: str) -> tuple[bool, bool]:
-    """Applicable on acyclic flag complexes: n(v^2 - 2e - 1) >= (v - 1)^2."""
-    c = flag_complex(g)
-    if ring == "Z":
-        acyclic = acyclic_over_z_fast(c)
-    else:
-        acyclic = is_acyclic(c, ring)
-    if not acyclic:
+def _inequality(name: str) -> Predicate:
+    """Applicable where the named inequality applies; passes where it holds."""
+    check = INEQUALITIES[name]
+
+    def predicate(a: Analysis, ring: str) -> tuple[bool, bool]:
+        out = check(a, ring)
+        return out.applicable, out.passed is not False
+
+    return predicate
+
+
+def _pred_chordal_implies_acyclic(a: Analysis, ring: str) -> tuple[bool, bool]:
+    if not a.chordality.chordal:
         return False, True
-    v, e, n = g.n, g.edge_count, c.dim
-    return True, n * (v * v - 2 * e - 1) >= (v - 1) ** 2
+    return True, a.acyclic(ring)
 
 
-def _pred_turan_nonneg(g: Graph, ring: str) -> tuple[bool, bool]:
-    return True, _omega_raw(g.n, g.edge_count, clique_number(g)) >= 0
+def _every_block_droms(g: Graph) -> bool:
+    """Connected, and each piece left after splitting at cut vertices is Droms.
+
+    This is the definition of a tree of Droms graphs, decided without the
+    chordal, gem and hbar tests that :func:`is_tree_of_droms` runs.
+    """
+    if not is_connected(g):
+        return False
+    cuts = cut_vertices(g)
+    if not cuts:
+        return is_droms(g).droms
+    return all(_every_block_droms(g.induced(b)) for b in blocks_at(g, cuts[0]).blocks)
 
 
-def _pred_chordal_implies_acyclic(g: Graph, ring: str) -> tuple[bool, bool]:
-    if not is_chordal(g).chordal:
-        return False, True
-    c = flag_complex(g)
-    return True, acyclic_over_z_fast(c) if ring == "Z" else is_acyclic(c, ring)
-
-
-def _class_by_patterns(g: Graph) -> bool:
-    return (
-        is_chordal(g).chordal
-        and find_induced(g, "GEM") is None
-        and find_induced(g, "HBAR") is None
-    )
-
-
-def _pred_tree_of_droms_equivalence(g: Graph, ring: str) -> tuple[bool, bool]:
-    """Forbidden-pattern membership must equal the constructive verdict, with replay."""
-    by_patterns = _class_by_patterns(g)
-    res = is_tree_of_droms(g)
-    if by_patterns != res.tree_of_droms:
+def _pred_tree_of_droms_equivalence(a: Analysis, ring: str) -> tuple[bool, bool]:
+    """The block-wise definition must equal the constructive verdict, with replay."""
+    res = a.tree_of_droms
+    if _every_block_droms(a.graph) != res.tree_of_droms:
         return True, False
-    if res.tree_of_droms and replay_tree_of_droms(res.decomposition) != g:
+    if res.tree_of_droms and replay_tree_of_droms(res.decomposition) != a.graph:
         return True, False
     return True, True
 
 
-def _pred_omega_identity(g: Graph, ring: str) -> tuple[bool, bool]:
-    check = omega_identity_check(g, ring if ring != "Z" else "Q")
+def _pred_omega_identity(a: Analysis, ring: str) -> tuple[bool, bool]:
+    check = omega_identity_check(a, ring if ring != "Z" else "Q")
     if not check.applicable:
         return False, True
     return True, bool(check.passed)
 
 
-def _pred_hilbert_consistency(g: Graph, ring: str) -> tuple[bool, bool]:
-    if not is_chordal(g).chordal:
+def _pred_hilbert_consistency(a: Analysis, ring: str) -> tuple[bool, bool]:
+    if not a.chordality.chordal:
         return False, True
-    check = koszul_hilbert_check(g, 12, ring if ring != "Z" else "Q")
+    check = koszul_hilbert_check(a, 12, ring if ring != "Z" else "Q")
     return True, check.applicable and bool(check.passed)
 
 
-def _pred_hereditary_tree_of_droms(g: Graph, ring: str) -> tuple[bool, bool]:
-    if not is_tree_of_droms(g).tree_of_droms:
+def _pred_hereditary_tree_of_droms(a: Analysis, ring: str) -> tuple[bool, bool]:
+    if not a.tree_of_droms.tree_of_droms:
         return False, True
-    verts = list(g.labels)
+    g = a.graph
     for mask in range(1, 1 << g.n):
-        sub = g.induced([verts[i] for i in _bits(mask)])
+        sub = g.induced([g.labels[i] for i in _bits(mask)])
         if not is_connected(sub):
             continue
         if not is_tree_of_droms(sub).tree_of_droms:
@@ -144,8 +143,8 @@ def _pred_hereditary_tree_of_droms(g: Graph, ring: str) -> tuple[bool, bool]:
 
 
 PREDICATES: dict[str, Predicate] = {
-    "acyclic_dim_bound": _pred_acyclic_dim_bound,
-    "turan_nonneg": _pred_turan_nonneg,
+    "acyclic_dim_bound": _inequality("acyclic_dim_bound"),
+    "turan_nonneg": _inequality("turan_nonneg"),
     "chordal_implies_acyclic": _pred_chordal_implies_acyclic,
     "tree_of_droms_equivalence": _pred_tree_of_droms_equivalence,
     "omega_identity": _pred_omega_identity,
@@ -211,9 +210,8 @@ def _scan_chunk(args) -> tuple[int, int, int, list[str]]:
     examined = applicable = passed = 0
     failing: list[str] = []
     for key in keys:
-        g = _graph_from_key(key)
         examined += 1
-        is_app, ok = pred(g, ring)
+        is_app, ok = pred(Analysis(_graph_from_key(key)), ring)
         if not is_app:
             continue
         applicable += 1
@@ -232,6 +230,7 @@ def scan_property(
     workers: int = 1,
 ) -> ScanReport:
     """Run a registered predicate over all connected graphs with <= max_vertices."""
+    ring = normalize_ring(ring)  # before any generation or pool
     if predicate not in PREDICATES:
         known = ", ".join(sorted(PREDICATES))
         raise DomainError(f"unknown predicate {predicate!r}; registered: {known}")

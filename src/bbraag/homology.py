@@ -31,19 +31,21 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def normalize_ring(ring: str) -> str:
-    """Canonical ring tag: "Z", "Q", or "Fp:<prime>"."""
+    """Canonical ring tag: "Z", "Q", or "Fp:<prime>" with ASCII decimal digits."""
     tag = ring.strip()
     if tag in ("Z", "Q"):
         return tag
     if tag.startswith("Fp:"):
-        try:
-            p = int(tag[3:])
-        except ValueError:
-            raise DomainError(f"bad finite-field tag {ring!r}") from None
-        if not _is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        return f"Fp:{p}"
-    raise DomainError(f"unknown ring {ring!r} (expected Z, Q, or Fp:<p>)")
+        body = tag[3:]
+        if not (body.isascii() and body.isdigit()):
+            raise DomainError(f"bad finite-field tag {ring[:40]!r}")
+        digits = body.lstrip("0") or "0"
+        if len(digits) > len(str(MILLER_RABIN_BOUND)):
+            raise CapacityError(f"primality is only decided below {MILLER_RABIN_BOUND}")
+        if not _is_prime(int(digits)):
+            raise DomainError(f"{digits} is not prime")
+        return f"Fp:{digits}"
+    raise DomainError(f"unknown ring {ring[:40]!r} (expected Z, Q, or Fp:<p>)")
 
 
 def is_field(ring: str) -> bool:

@@ -10,14 +10,16 @@ dimensions with the Koszul Hilbert-series consistency check.  All arithmetic
 is exact integers; nothing here touches floating point.
 
 Each per-graph function accepts a Graph or an :class:`Analysis`; functions
-handed the same Analysis share its flag complex, homology and verdicts.
+handed the same Analysis share its flag complex, chordality, homology,
+acyclicity and verdicts.  The report and the scans evaluate one inequality
+table, :data:`INEQUALITIES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import DomainError, NotSupportedError
 from .formats import format_graph6
@@ -34,6 +36,7 @@ from .homology import (
     CollapseResult,
     HomologyGroups,
     SimplicialComplex,
+    acyclic_over_z_fast,
     collapse_to_point,
     flag_complex,
     is_field,
@@ -74,14 +77,29 @@ class Analysis:
         return collapse_to_point(self.complex)
 
     @cached_property
+    def chordality(self) -> ChordalityResult:
+        return is_chordal(self.graph)
+
+    @cached_property
     def tree_of_droms(self) -> TreeOfDromsResult:
-        return is_tree_of_droms(self.graph)
+        return is_tree_of_droms(self.graph, self.chordality)
 
     def homology(self, ring: str) -> HomologyGroups:
         tag = normalize_ring(ring)
         if tag not in self._homology:
             self._homology[tag] = reduced_homology(self.complex, tag)
         return self._homology[tag]
+
+    def acyclic(self, ring: str) -> bool:
+        """Over Z the staged test, unless the integral homology is already known."""
+        tag = normalize_ring(ring)
+        if tag == "Z" and tag not in self._homology:
+            return self._acyclic_over_z
+        return self.homology(tag).trivial()
+
+    @cached_property
+    def _acyclic_over_z(self) -> bool:
+        return acyclic_over_z_fast(self.complex)
 
     def cohomology(self, ring: str) -> CohomologyQuotient:
         tag = normalize_ring(ring)
@@ -151,7 +169,7 @@ class CoherenceResult:
 
 def coherence(g: GraphOrAnalysis) -> CoherenceResult:
     """The Bestvina-Brady object is coherent exactly when the graph is chordal."""
-    res = is_chordal(_analysis(g).graph)
+    res = _analysis(g).chordality
     return CoherenceResult(res.chordal, res)
 
 
@@ -351,13 +369,7 @@ class OmegaIdentityResult:
     passed: Optional[bool] = None
 
     def to_json(self):
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityResult:
@@ -393,15 +405,7 @@ class InequalityOutcome:
     note: str = ""
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
 DROMS_TREE_BOUND_NOTE = (
@@ -410,66 +414,57 @@ DROMS_TREE_BOUND_NOTE = (
 )
 
 
+def _holds(name: str, lhs: int, rhs: int, note: str = "") -> InequalityOutcome:
+    passed = lhs >= rhs
+    return InequalityOutcome(name, True, "", lhs, rhs, passed, "" if passed else note)
+
+
+def _turan_nonneg(a: Analysis, ring: str) -> InequalityOutcome:
+    """omega(RAAG) >= 0; reads the clique number, not the flag complex."""
+    g = a.graph
+    if not g.n:
+        return InequalityOutcome("turan_nonneg", False, reason="empty graph")
+    return _holds("turan_nonneg", _omega_raw(g.n, g.edge_count, clique_number(g)), 0)
+
+
+def _acyclic_dim_bound(a: Analysis, ring: str) -> InequalityOutcome:
+    """n(v^2 - 2e - 1) >= (v - 1)^2 on an acyclic n-dimensional flag complex."""
+    v, e = a.graph.n, a.graph.edge_count
+    if not (v and a.acyclic(ring)):
+        reason = f"flag complex not acyclic over {ring}"
+        return InequalityOutcome("acyclic_dim_bound", False, reason=reason)
+    return _holds("acyclic_dim_bound", a.complex.dim * (v * v - 2 * e - 1), (v - 1) ** 2)
+
+
+def _droms_tree_bound(a: Analysis, ring: str) -> InequalityOutcome:
+    v, e = a.graph.n, a.graph.edge_count
+    if not a.tree_of_droms.tree_of_droms:
+        return InequalityOutcome("droms_tree_bound", False, reason="not a tree of Droms graphs")
+    lhs = a.complex.dim * (v * v - 2 * e - 2)
+    return _holds("droms_tree_bound", lhs, (v - 1) ** 2, DROMS_TREE_BOUND_NOTE)
+
+
+def _two_dim_edge_bound(a: Analysis, ring: str) -> InequalityOutcome:
+    v, e = a.graph.n, a.graph.edge_count
+    if not (v and a.complex.dim == 2 and a.acyclic(ring)):
+        reason = "needs an acyclic 2-dimensional flag complex"
+        return InequalityOutcome("two_dim_edge_bound", False, reason=reason)
+    return _holds("two_dim_edge_bound", (v + 1) ** 2, 4 * (e + 1))
+
+
+# name -> check; each is exact, or skipped with a reason when it does not apply.
+INEQUALITIES: dict[str, Callable[[Analysis, str], InequalityOutcome]] = {
+    "turan_nonneg": _turan_nonneg,
+    "acyclic_dim_bound": _acyclic_dim_bound,
+    "droms_tree_bound": _droms_tree_bound,
+    "two_dim_edge_bound": _two_dim_edge_bound,
+}
+
+
 def inequality_checks(g: GraphOrAnalysis, ring: str = "Z") -> dict[str, InequalityOutcome]:
     """The named integer inequalities, each evaluated exactly or skipped with reason."""
     a = _analysis(g)
-    c = a.complex
-    v, e = a.graph.n, a.graph.edge_count
-    out: dict[str, InequalityOutcome] = {}
-
-    if v == 0:
-        out["turan_nonneg"] = InequalityOutcome(
-            "turan_nonneg", False, reason="empty graph"
-        )
-    else:
-        w = _omega_raw(v, e, c.dim + 1)
-        out["turan_nonneg"] = InequalityOutcome(
-            "turan_nonneg", True, lhs=w, rhs=0, passed=w >= 0
-        )
-
-    acyclic = v > 0 and a.homology(ring).trivial()
-    n = c.dim
-    if acyclic:
-        lhs = n * (v * v - 2 * e - 1)
-        rhs = (v - 1) ** 2
-        out["acyclic_dim_bound"] = InequalityOutcome(
-            "acyclic_dim_bound", True, lhs=lhs, rhs=rhs, passed=lhs >= rhs
-        )
-    else:
-        out["acyclic_dim_bound"] = InequalityOutcome(
-            "acyclic_dim_bound", False, reason=f"flag complex not acyclic over {ring}"
-        )
-
-    tod = a.tree_of_droms
-    if tod.tree_of_droms:
-        lhs = n * (v * v - 2 * e - 2)
-        rhs = (v - 1) ** 2
-        out["droms_tree_bound"] = InequalityOutcome(
-            "droms_tree_bound",
-            True,
-            lhs=lhs,
-            rhs=rhs,
-            passed=lhs >= rhs,
-            note="" if lhs >= rhs else DROMS_TREE_BOUND_NOTE,
-        )
-    else:
-        out["droms_tree_bound"] = InequalityOutcome(
-            "droms_tree_bound", False, reason="not a tree of Droms graphs"
-        )
-
-    if acyclic and n == 2:
-        lhs = (v + 1) ** 2
-        rhs = 4 * (e + 1)
-        out["two_dim_edge_bound"] = InequalityOutcome(
-            "two_dim_edge_bound", True, lhs=lhs, rhs=rhs, passed=lhs >= rhs
-        )
-    else:
-        out["two_dim_edge_bound"] = InequalityOutcome(
-            "two_dim_edge_bound",
-            False,
-            reason="needs an acyclic 2-dimensional flag complex",
-        )
-    return out
+    return {name: check(a, ring) for name, check in INEQUALITIES.items()}
 
 
 # -- graded cohomology of the Bestvina-Brady object ---------------------------------------
@@ -524,7 +519,7 @@ def _cohomology_quotient(a: Analysis, tag: str) -> CohomologyQuotient:
     for size in range(1, len(cliques)):
         rank = rank_over_field(_chi_matrix(a.graph, cliques, size), tag)
         dims.append(len(cliques[size]) - rank)
-    acyclic = a.graph.n > 0 and a.homology(tag).trivial()
+    acyclic = a.graph.n > 0 and a.acyclic(tag)
     return CohomologyQuotient(tag, tuple(dims), True if acyclic else None)
 
 
@@ -573,7 +568,7 @@ def koszul_hilbert_check(
     a = _analysis(g)
     if not is_connected(a.graph):
         return HilbertCheckResult(False, "graph not connected", degree_bound)
-    if not a.homology(tag).trivial():
+    if not a.acyclic(tag):
         return HilbertCheckResult(
             False, f"flag complex not acyclic over {tag}", degree_bound
         )

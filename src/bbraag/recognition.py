@@ -361,20 +361,28 @@ def _removable_step(g: Graph) -> Optional[BuildStep]:
     return None
 
 
-def _ptolemaic_witness(g: Graph) -> Optional[ForbiddenWitness]:
-    """Why ``g`` is not connected, chordal and gem-free; None when it is."""
+def _class_witness(
+    g: Graph, chordality: Optional[ChordalityResult], patterns: tuple[str, ...]
+) -> Optional[ForbiddenWitness]:
+    """Why ``g`` is not connected, chordal and free of ``patterns``; None when it is."""
     if not is_connected(g):
         return ForbiddenWitness(DISCONNECTED, ())
-    chord = is_chordal(g)
+    chord = is_chordal(g) if chordality is None else chordality
     if not chord.chordal:
         return chord.witness
-    gem = find_induced(g, "GEM")
-    return None if gem is None else ForbiddenWitness("GEM", gem)
+    for pattern in patterns:
+        hit = find_induced(g, pattern)
+        if hit is not None:
+            return ForbiddenWitness(pattern, hit)
+    return None
 
 
-def is_ptolemaic(g: Graph) -> PtolemaicResult:
-    """Connected + chordal + gem-free, certified by a leaf/twin build sequence."""
-    witness = _ptolemaic_witness(g)
+def is_ptolemaic(g: Graph, chordality: Optional[ChordalityResult] = None) -> PtolemaicResult:
+    """Connected + chordal + gem-free, certified by a leaf/twin build sequence.
+
+    ``chordality``, when given, must be ``is_chordal(g)``; it saves the search.
+    """
+    witness = _class_witness(g, chordality, ("GEM",))
     if witness is not None:
         return PtolemaicResult(False, witness=witness)
     steps: list[BuildStep] = []
@@ -399,7 +407,7 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
     Prefers a central vertex (cone stripping shrinks fastest); smallest label
     breaks ties.  Violated preconditions raise DomainError naming the clause.
     """
-    witness = _tree_of_droms_witness(g)
+    witness = _class_witness(g, None, ("GEM", "HBAR"))
     if witness is not None:
         raise DomainError(f"precondition violated: {witness.pattern} on {witness.vertices}")
     centrals = central_vertices(g)
@@ -409,14 +417,6 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
     if cuts:
         return ("cut", cuts[0])
     raise AssertionError("connected chordal gem-free hbar-free graph with neither")
-
-
-def _tree_of_droms_witness(g: Graph) -> Optional[ForbiddenWitness]:
-    witness = _ptolemaic_witness(g)
-    if witness is not None:
-        return witness
-    hbar = find_induced(g, "HBAR")
-    return None if hbar is None else ForbiddenWitness("HBAR", hbar)
 
 
 @dataclass(frozen=True)
@@ -499,9 +499,14 @@ def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> int:
     return main_idx
 
 
-def is_tree_of_droms(g: Graph) -> TreeOfDromsResult:
-    """Connected + chordal + gem-free + hbar-free, certified by a glued decomposition."""
-    witness = _tree_of_droms_witness(g)
+def is_tree_of_droms(
+    g: Graph, chordality: Optional[ChordalityResult] = None
+) -> TreeOfDromsResult:
+    """Connected + chordal + gem-free + hbar-free, certified by a glued decomposition.
+
+    ``chordality``, when given, must be ``is_chordal(g)``; it saves the search.
+    """
+    witness = _class_witness(g, chordality, ("GEM", "HBAR"))
     if witness is not None:
         return TreeOfDromsResult(False, witness=witness)
     nodes: list[DromsTreeNode] = []

@@ -42,6 +42,29 @@ def test_classify_gem_golden(capsys, gem_file):
     assert code == 0
     assert out == golden("classify_gem.json")
     assert json.loads(out)["schema_version"] == 1
+    code, out, err = run(capsys, "classify", "--input", gem_file)
+    assert code == 0
+    assert out == golden("classify_gem.txt")
+
+
+@pytest.mark.parametrize("graph6", ["Dh{", "DhC", "Cl"], ids=["gem", "P5", "C4"])
+def test_classify_runs_chordality_once(capsys, monkeypatch, graph6):
+    import bbraag.invariants
+    import bbraag.recognition
+
+    calls = []
+    real = bbraag.recognition.is_chordal
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (bbraag.recognition, bbraag.invariants):
+        monkeypatch.setattr(module, "is_chordal", counting)
+    for fmt in ("json", "text"):
+        code, _, _ = run(capsys, "classify", "--graph6", graph6, "--format", fmt)
+        assert code == 0
+    assert len(calls) == 2
 
 
 def test_report_k3_golden(capsys):
@@ -146,6 +169,13 @@ def test_usage_errors_exit_1(capsys, gem_file):
 def test_bad_ring_is_domain_error(capsys):
     code, _, err = run(capsys, "homology", "--graph6", "Bw", "--ring", "Fp:6")
     assert code == 3
+    code, _, err = run(capsys, "homology", "--graph6", "Bw", "--ring", "Fp:x" + "7" * 5000)
+    assert code == 3
+    assert len(err) < 200
+    # more digits than the primality bound: a capacity error, not a parse failure
+    code, _, err = run(capsys, "homology", "--graph6", "Bw", "--ring", "Fp:" + "7" * 5000)
+    assert code == 4
+    assert len(err) < 200
 
 
 def test_max_degree_validation(capsys):
@@ -165,9 +195,19 @@ def test_structure_single_vertex(capsys):
     assert "0 vertices" in out and "(none)" in out
 
 
-def test_scan_bad_ring_exit_3(capsys):
-    code, _, err = run(capsys, "scan", "acyclic_dim_bound", "--max-v", "3", "--ring", "Fp:4")
-    assert code == 3
+def test_scan_bad_ring_exit_3(capsys, monkeypatch):
+    import bbraag.enumeration
+
+    def no_generation(n):
+        raise AssertionError("graphs generated before the ring was checked")
+
+    monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
+    for predicate in ("acyclic_dim_bound", "turan_nonneg"):
+        for ring in ("Fp:4", "R", "Fp:1_3"):
+            code, _, err = run(
+                capsys, "scan", predicate, "--max-v", "8", "--ring", ring, "--workers", "2"
+            )
+            assert code == 3, (predicate, ring)
 
 
 def test_report_gem_golden(capsys, gem_file):

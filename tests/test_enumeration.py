@@ -191,6 +191,45 @@ def test_chordal_acyclic_scan_v7():
     assert rep.failed == 0
 
 
+def test_block_definition_agrees_with_tree_of_droms_v7():
+    from bbraag.enumeration import _every_block_droms
+    from bbraag.recognition import is_tree_of_droms
+
+    members = 0
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            verdict = is_tree_of_droms(g).tree_of_droms
+            assert _every_block_droms(g) == verdict, g
+            members += verdict
+    assert members == 233
+
+
+def test_block_definition_skips_pattern_tests(monkeypatch):
+    import bbraag.enumeration as enumeration
+    import bbraag.recognition as recognition
+
+    real_find = recognition.find_induced
+
+    def no_chordality(g):
+        raise AssertionError("is_chordal called")
+
+    def droms_patterns_only(g, pattern):
+        if pattern in ("GEM", "HBAR"):
+            raise AssertionError(f"{pattern} search called")
+        return real_find(g, pattern)
+
+    for module in (recognition, enumeration):
+        monkeypatch.setattr(module, "is_chordal", no_chordality, raising=False)
+        monkeypatch.setattr(module, "find_induced", droms_patterns_only, raising=False)
+    verdicts = {enumeration._every_block_droms(g) for n in range(1, 7) for g in connected_graphs(n)}
+    assert verdicts == {True, False}
+
+
+def test_scan_ring_normalized():
+    assert scan_property("turan_nonneg", 3, ring=" Z").ring == "Z"
+    assert scan_property("acyclic_dim_bound", 3, ring="Fp:02").ring == "Fp:2"
+
+
 def test_hereditary_scan_v7():
     rep = scan_property("hereditary_tree_of_droms", 7)
     assert rep.applicable == 233  # trees of Droms graphs with <= 7 vertices

@@ -28,11 +28,35 @@ from oracles import fraction_rank, minor_gcd, rational_reduced_betti
 
 def test_ring_normalization():
     assert normalize_ring("Z") == "Z"
+    assert normalize_ring(" Z") == "Z"
     assert normalize_ring("Fp:7") == "Fp:7"
+    assert normalize_ring("Fp:0003") == "Fp:3"
+    assert normalize_ring("Fp:" + "0" * 5000 + "3") == "Fp:3"
     with pytest.raises(DomainError):
         normalize_ring("Fp:6")
     with pytest.raises(DomainError):
         normalize_ring("R")
+    # only ASCII decimal digits follow "Fp:"
+    for tag in ("Fp:1_3", "Fp:\u0663", "Fp:+7", "Fp: 7", "Fp:", "Fp:7.0", "Fp:\u00b2"):
+        with pytest.raises(DomainError):
+            normalize_ring(tag)
+
+
+def test_ring_tag_length_bounded(monkeypatch):
+    import bbraag.homology
+
+    def no_int(*args):
+        raise AssertionError("int() called on an over-long tag")
+
+    monkeypatch.setattr(bbraag.homology, "int", no_int, raising=False)
+    for body in ("7" * 5000, "1" + "0" * 25):
+        with pytest.raises(CapacityError) as exc:
+            normalize_ring("Fp:" + body)
+        assert len(str(exc.value)) < 200
+    for tag in ("Fp:x" + "7" * 5000, "R" * 5000):
+        with pytest.raises(DomainError) as exc:
+            normalize_ring(tag)
+        assert len(str(exc.value)) < 200
 
 
 def test_ring_primality_exact_and_bounded():

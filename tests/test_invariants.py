@@ -397,14 +397,20 @@ def test_report_k3():
 
 @pytest.mark.parametrize(
     "g",
-    [gem_graph(), cycle_graph(4), Graph("abcx", [("a", "b"), ("b", "c")])],
-    ids=["gem", "C4", "disconnected"],
+    [gem_graph(), path_graph(5), cycle_graph(4), Graph("abcx", [("a", "b"), ("b", "c")])],
+    ids=["gem", "P5", "C4", "disconnected"],
 )
 def test_report_builds_complex_and_homology_once_per_call(monkeypatch, g):
     import bbraag.invariants as inv
+    import bbraag.recognition
 
-    complexes, rings = [], []
+    complexes, rings, chordality = [], [], []
     real_complex, real_homology = inv.flag_complex, inv.reduced_homology
+    real_chordal = bbraag.recognition.is_chordal
+
+    def counting_chordal(graph):
+        chordality.append(graph)
+        return real_chordal(graph)
 
     def counting_complex(graph):
         complexes.append(graph)
@@ -416,13 +422,29 @@ def test_report_builds_complex_and_homology_once_per_call(monkeypatch, g):
 
     monkeypatch.setattr(inv, "flag_complex", counting_complex)
     monkeypatch.setattr(inv, "reduced_homology", counting_homology)
+    for module in (inv, bbraag.recognition):
+        monkeypatch.setattr(module, "is_chordal", counting_chordal)
     first = invariant_report(g, rings=("Z", "Q", "Fp:2"))
-    assert len(complexes) == 1
+    assert len(complexes) == len(chordality) == 1
     assert sorted(rings) == ["Fp:2", "Q", "Z"]
     # no cache outlives a call: the same graph is analysed again
     assert invariant_report(g, rings=("Z", "Q", "Fp:2")) == first
-    assert len(complexes) == 2
+    assert len(complexes) == len(chordality) == 2
     assert sorted(rings) == ["Fp:2", "Fp:2", "Q", "Q", "Z", "Z"]
+
+
+def test_analysis_acyclic_matches_is_acyclic():
+    from bbraag.homology import flag_complex, is_acyclic
+
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            c = flag_complex(g)
+            want = {ring: is_acyclic(c, ring) for ring in ("Z", "Q", "Fp:2")}
+            staged = Analysis(g)
+            assert {ring: staged.acyclic(ring) for ring in want} == want
+            cached = Analysis(g)
+            cached.homology("Z")
+            assert {ring: cached.acyclic(ring) for ring in want} == want
 
 
 def test_analysis_shared_across_functions():
