@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ring", default="Z", metavar="RING")
     p.add_argument("--workers", type=int, default=1, metavar="K")
     p.add_argument("--capacity", type=int, default=CAPACITY, metavar="N",
-                   help=f"hard vertex bound for scans (default {CAPACITY})")
+                   help=f"hard vertex bound for scans (default and maximum {CAPACITY})")
     _add_output_args(p)
     return parser
 

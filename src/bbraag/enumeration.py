@@ -55,17 +55,23 @@ def _graph_from_key(key: bytes) -> Graph:
     return Graph.from_masks((str(i) for i in range(n)), adj)
 
 
+def _check_order(n: int, capacity: int, what: str) -> None:
+    """A caller's capacity may lower the vertex bound but never raise it above CAPACITY."""
+    if capacity > CAPACITY:
+        raise CapacityError(f"capacity may not exceed {CAPACITY} vertices, got {capacity}")
+    if not 1 <= n <= capacity:
+        raise CapacityError(f"{what} must be within 1..{capacity}, got {n}")
+
+
 def connected_graphs(n: int, capacity: int = CAPACITY) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
-    if not 1 <= n <= capacity:
-        raise CapacityError(f"connected_graphs supports 1..{capacity} vertices, got {n}")
+    _check_order(n, capacity, "connected_graphs vertex count")
     for key in _canonical_reps(n):
         yield _graph_from_key(key)
 
 
 def connected_graph_count(n: int, capacity: int = CAPACITY) -> int:
-    if not 1 <= n <= capacity:
-        raise CapacityError(f"connected_graphs supports 1..{capacity} vertices, got {n}")
+    _check_order(n, capacity, "connected_graphs vertex count")
     return len(_canonical_reps(n))
 
 
@@ -237,10 +243,7 @@ def scan_property(
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    if not 1 <= max_vertices <= capacity:
-        raise CapacityError(
-            f"scan bound must be within 1..{capacity}, got {max_vertices}"
-        )
+    _check_order(max_vertices, capacity, "scan bound")
     keys: list[bytes] = []
     for n in range(1, max_vertices + 1):
         keys.extend(_canonical_reps(n))

@@ -3,15 +3,18 @@
 Faces are graded by dimension and carried as index tuples in the graph's
 vertex order; boundary signs alternate over vertex deletions in that order.
 Reduced homology uses the augmented chain complex, so degree 0 counts
-components minus one and no degree is special-cased.  Integral homology goes
-through Smith normal form with a deterministic pivot rule; field homology
-through exact rank computations (fraction-free over Q, modular over F_p, on
-packed bit rows over F_2).
+components minus one and no degree is special-cased.  Homology in every ring
+is computed on the strong-collapse core of the complex (dominated vertices
+deleted, which keeps the homotopy type); integral homology then goes through
+Smith normal form with a deterministic pivot rule, field homology through
+exact rank computations (fraction-free over Q, modular over F_p, on packed
+bit rows over F_2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import CapacityError, DomainError
@@ -95,6 +98,17 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
+    @cached_property
+    def strong_collapse(self) -> StrongCollapse:
+        """Computed once per complex, so homology in every ring shares one core."""
+        return _strong_collapse(self)
+
+    @property
+    def core(self) -> SimplicialComplex:
+        """The strong-collapse core: ``self`` when no vertex is dominated."""
+        reduced = self.strong_collapse.reduced
+        return self if reduced is None else reduced
+
     def to_json(self):
         return {
             "vertices": list(self.labels),
@@ -115,6 +129,91 @@ def flag_complex(g: Graph) -> SimplicialComplex:
     top = max(by_size)
     faces = tuple(tuple(sorted(by_size.get(k, []))) for k in range(1, top + 1))
     return SimplicialComplex(g.labels, faces)
+
+
+@dataclass(frozen=True)
+class StrongCollapse:
+    """Dominated-vertex deletions, as a replayable certificate, and what they leave.
+
+    Replayed in order, each ``(removed, dominator)`` pair is a strong collapse:
+    in the complex left by the earlier pairs, every face containing
+    ``removed`` stays a face when ``dominator`` is added to it.  ``reduced`` is
+    the full subcomplex on the vertices that are left, or None when no vertex
+    was dominated.
+    """
+
+    pairs: tuple[tuple[str, str], ...]
+    reduced: Optional[SimplicialComplex]
+
+
+def _strong_collapse(c: SimplicialComplex) -> StrongCollapse:
+    """Delete dominated vertices, lowest index first, until none is dominated.
+
+    Vertex v is dominated by u != v when every facet (maximal face) containing
+    v contains u; the lowest such u is recorded.  Deleting v then keeps the
+    homotopy type, hence homology over every ring (Barmak-Minian 2012).  The
+    test reads the facets of ``c`` itself, so it holds on complexes that are
+    not flag complexes, where N[v] in N[u] in the 1-skeleton does not suffice.
+    """
+    facets = _facets(c)
+    alive = sum(1 << f[0] for f in c.faces[0]) if c.faces else 0
+    pairs = []
+    while (hit := _dominated(facets, alive)) is not None:
+        v, u = hit
+        pairs.append((c.labels[v], c.labels[u]))
+        bit = 1 << v
+        alive ^= bit
+        # Facets without v stay maximal; no facet through v shrinks into another one
+        # through v, so a shrunk facet is dropped only when a facet without v holds it.
+        kept = [f for f in facets if not f & bit]
+        facets = kept + [
+            f ^ bit for f in facets if f & bit and all((f ^ bit) & ~g for g in kept)
+        ]
+    if not pairs:
+        return StrongCollapse((), None)
+    return StrongCollapse(tuple(pairs), _full_subcomplex(c, alive))
+
+
+def _dominated(facets: list[int], alive: int) -> Optional[tuple[int, int]]:
+    """The lowest dominated vertex and its lowest dominator, or None."""
+    for v in _bits(alive):
+        bit = 1 << v
+        common = alive
+        for f in facets:
+            if f & bit:
+                common &= f
+        others = common ^ bit
+        if others:
+            return v, (others & -others).bit_length() - 1
+    return None
+
+
+def _facets(c: SimplicialComplex) -> list[int]:
+    """The maximal faces of ``c`` as vertex bitmasks."""
+    facets: list[int] = []
+    covered: set[int] = set()
+    for d in range(c.dim, -1, -1):
+        below: set[int] = set()
+        for face in c.faces[d]:
+            mask = _mask(face)
+            if mask not in covered:
+                facets.append(mask)
+            below.update(mask ^ (1 << i) for i in face)
+        covered = below
+    return facets
+
+
+def _full_subcomplex(c: SimplicialComplex, alive: int) -> SimplicialComplex:
+    """The faces of ``c`` on the vertices in ``alive``, reindexed in the same order."""
+    keep = list(_bits(alive))
+    index = {old: new for new, old in enumerate(keep)}
+    faces = []
+    for fs in c.faces:
+        sub = tuple(tuple(index[i] for i in f) for f in fs if not _mask(f) & ~alive)
+        if not sub:
+            break
+        faces.append(sub)
+    return SimplicialComplex(tuple(c.labels[i] for i in keep), tuple(faces))
 
 
 def _boundary_entries(c: SimplicialComplex, d: int):
@@ -389,7 +488,14 @@ class HomologyGroups:
 
 
 def reduced_homology(c: SimplicialComplex, ring: str) -> HomologyGroups:
+    """Reduced homology of ``c``, computed on its strong-collapse core.
+
+    The core has the homotopy type of ``c`` but may have lower dimension, so
+    the degrees above it are padded with zero groups up to ``c.dim``.
+    """
     tag = normalize_ring(ring)
+    full_dim = c.dim
+    c = c.core
     dim = c.dim
     ranks = []
     torsions: list[tuple[int, ...]] = [()] * (dim + 2)
@@ -407,6 +513,7 @@ def reduced_homology(c: SimplicialComplex, ring: str) -> HomologyGroups:
     for i in range(dim + 1):
         free = c.face_count(i) - ranks[i] - ranks[i + 1]
         groups.append((free, torsions[i + 1]))
+    groups.extend([(0, ())] * (full_dim - dim))
     return HomologyGroups(tag, tuple(groups))
 
 
@@ -480,16 +587,14 @@ def _proper_submasks(mask: int):
 
 
 def acyclic_over_z_fast(c: SimplicialComplex) -> bool:
-    """Staged, exact test for Z-acyclicity (used by the enumeration scans).
+    """Staged, exact test for Z-acyclicity (used by the scans and the Analysis).
 
-    Cheap necessary conditions first (reduced Euler characteristic, F_2 Betti
-    numbers), then a greedy collapse as a sufficient certificate, and the full
-    integral computation only when both are silent.
+    The reduced Euler characteristic is a cheap necessary condition, a
+    strong-collapse core of one vertex a sufficient certificate, and the
+    integral homology of the core decides the rest.
     """
     if c.euler_characteristic() != 1:
         return False
-    if not reduced_homology(c, "Fp:2").trivial():
-        return False
-    if collapse_to_point(c).collapsible:
+    if c.core.face_count(0) == 1:
         return True
     return is_acyclic(c, "Z")

@@ -2,9 +2,10 @@
 
 Everything here recomputes results by a different route than the library:
 permutation-based isomorphism, labeled brute-force graph counting, Fraction
-Gaussian elimination for homology, gcd-of-minors for invariant factors, and a
-from-scratch graph6 reader.  Keep these free of bbraag internals beyond the
-public Graph accessors.
+Gaussian elimination for homology, gcd-of-minors for invariant factors,
+homology of the full complex with no core reduction, vertex domination read
+off the faces, and a from-scratch graph6 reader.  Keep these free of bbraag
+internals beyond the public Graph accessors.
 """
 
 from fractions import Fraction
@@ -100,6 +101,104 @@ def rational_reduced_betti(complex_) -> list[int]:
     return [
         complex_.face_count(i) - ranks[i] - ranks[i + 1] for i in range(dim + 1)
     ]
+
+
+def modular_rank(matrix, p) -> int:
+    """Rank over F_p by Gauss-Jordan elimination with an explicit inverse per pivot."""
+    a = [[x % p for x in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = next(x for x in range(1, p) if a[rank][col] * x % p == 1)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def integer_diagonal(matrix) -> list[int]:
+    """Absolute nonzero entries of a diagonal form reached by unimodular operations.
+
+    Pivots on a smallest nonzero entry, reduces its row and column by
+    division with remainder, and strikes both out once the remainders vanish.
+    The entries need not divide each other; see :func:`invariant_factors`.
+    """
+    a = [list(row) for row in matrix]
+    diag = []
+    while True:
+        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            return diag
+        _, i, j = min(entries)
+        p = a[i][j]
+        clear = True
+        for k in range(len(a)):
+            if k != i and a[k][j]:
+                q = a[k][j] // p
+                a[k] = [x - q * y for x, y in zip(a[k], a[i])]
+                clear = clear and not a[k][j]
+        for k in range(len(a[i])):
+            if k != j and a[i][k]:
+                q = a[i][k] // p
+                for row in a:
+                    row[k] -= q * row[j]
+                clear = clear and not a[i][k]
+        if clear:
+            diag.append(abs(p))
+            del a[i]
+            for row in a:
+                del row[j]
+
+
+def invariant_factors(diag) -> list[int]:
+    """The divisibility chain d_1 | d_2 | ... of a diagonal form, by gcd/lcm exchanges."""
+    d = list(diag)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
+
+
+def reference_homology(complex_, ring):
+    """Reduced homology of the whole complex, with no core: ((free, torsion), ...) per degree.
+
+    Over Z from :func:`integer_diagonal` of each full boundary matrix, over Q
+    from :func:`fraction_rank`, over Fp:<p> from :func:`modular_rank`.
+    """
+    from bbraag.homology import boundary_matrix
+
+    dim = complex_.dim
+    ranks = []
+    torsions = [()] * (dim + 2)
+    for d in range(dim + 1):
+        mat = boundary_matrix(complex_, d)
+        if ring == "Z":
+            diag = integer_diagonal(mat)
+            ranks.append(len(diag))
+            torsions[d] = tuple(f for f in invariant_factors(diag) if f > 1)
+        elif ring == "Q":
+            ranks.append(fraction_rank(mat))
+        else:
+            ranks.append(modular_rank(mat, int(ring[3:])))
+    ranks.append(0)
+    return tuple(
+        (complex_.face_count(i) - ranks[i] - ranks[i + 1], torsions[i + 1])
+        for i in range(dim + 1)
+    )
+
+
+def dominates(faces, u, v) -> bool:
+    """Every face (a set of labels) containing v stays a face when u is added."""
+    return all(f | {u} in faces for f in faces if v in f)
 
 
 def minor_gcd(matrix, k) -> int:

@@ -210,6 +210,21 @@ def test_scan_bad_ring_exit_3(capsys, monkeypatch):
             assert code == 3, (predicate, ring)
 
 
+def test_scan_capacity_above_bound_exit_4(capsys, monkeypatch):
+    import bbraag.enumeration
+
+    def no_generation(n):
+        raise AssertionError("graphs generated before the capacity was checked")
+
+    monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
+    for max_v, capacity in (("10", "10"), ("3", "10"), ("5", "4")):
+        code, _, err = run(
+            capsys, "scan", "turan_nonneg", "--max-v", max_v, "--capacity", capacity
+        )
+        assert code == 4, (max_v, capacity)
+        assert "capacity" in err
+
+
 def test_report_gem_golden(capsys, gem_file):
     code, out, _ = run(capsys, "report", "--input", gem_file, "--format", "json")
     assert code == 0

@@ -36,6 +36,25 @@ def test_capacity_bounds():
         scan_property("turan_nonneg", 12)
 
 
+def test_capacity_cannot_be_raised(monkeypatch):
+    import bbraag.enumeration
+
+    assert connected_graph_count(4, capacity=4) == 6
+
+    def no_generation(n):
+        raise AssertionError("graphs generated before the capacity was checked")
+
+    monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
+    with pytest.raises(CapacityError):
+        connected_graph_count(10, capacity=10)
+    with pytest.raises(CapacityError):
+        list(connected_graphs(3, capacity=12))
+    with pytest.raises(CapacityError):
+        scan_dim_bound(3, capacity=10)
+    with pytest.raises(CapacityError):
+        scan_property("turan_nonneg", 5, capacity=4)
+
+
 def test_stream_graphs_connected_and_distinct():
     seen = set()
     for n in range(1, 7):

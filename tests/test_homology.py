@@ -7,6 +7,7 @@ import pytest
 from bbraag.errors import CapacityError, DomainError
 from bbraag.graphs import Graph, central_vertices
 from bbraag.homology import (
+    SimplicialComplex,
     acyclic_over_z_fast,
     boundary_matrix,
     collapse_to_point,
@@ -20,7 +21,7 @@ from bbraag.homology import (
 from bbraag.patterns import complete_graph, cycle_graph, gem_graph, overlapping_gems_graph, path_graph
 from bbraag.enumeration import connected_graphs
 
-from oracles import fraction_rank, minor_gcd, rational_reduced_betti
+from oracles import dominates, fraction_rank, minor_gcd, rational_reduced_betti, reference_homology
 
 
 # -- rings ------------------------------------------------------------------------
@@ -404,3 +405,136 @@ def test_snf_full_chain_against_minor_gcd_oracle():
         # rank bound: every (rank+1)-minor vanishes
         if len(factors) < min(m, n):
             assert minor_gcd(mat, len(factors) + 1) == 0
+
+
+# -- the strong-collapse core -------------------------------------------------------------
+
+RINGS = ("Z", "Q", "Fp:2", "Fp:3")
+
+
+def complex_from_facets(facets) -> SimplicialComplex:
+    """The complex generated by ``facets`` (label tuples), labels sorted."""
+    labels = tuple(sorted({v for f in facets for v in f}))
+    index = {v: i for i, v in enumerate(labels)}
+    faces = {
+        tuple(sorted(index[v] for v in sub))
+        for f in facets
+        for k in range(1, len(f) + 1)
+        for sub in combinations(f, k)
+    }
+    top = max(len(f) for f in faces)
+    return SimplicialComplex(
+        labels, tuple(tuple(sorted(f for f in faces if len(f) == k)) for k in range(1, top + 1))
+    )
+
+
+# The 6-vertex real projective plane: not a flag complex (its 1-skeleton is K6).
+RP2_FACETS = [
+    tuple(f) for f in (
+        "abe", "abf", "acd", "acf", "ade", "bcd", "bce", "bdf", "cef", "def"
+    )
+]
+
+
+def label_faces(c: SimplicialComplex) -> set:
+    return {frozenset(f) for d in range(c.dim + 1) for f in c.face_labels(d)}
+
+
+def replay_strong_collapse(c: SimplicialComplex) -> None:
+    """Check every (removed, dominator) pair on the complex of its step, then the core."""
+    faces = label_faces(c)
+    for removed, dominator in c.strong_collapse.pairs:
+        assert removed != dominator
+        assert any(removed in f for f in faces), removed
+        assert dominates(faces, dominator, removed), (removed, dominator)
+        faces = {f for f in faces if removed not in f}
+    assert faces == label_faces(c.core)
+    vertices = {v for f in faces for v in f}
+    for v in vertices:
+        assert not any(dominates(faces, u, v) for u in vertices - {v}), v
+
+
+def test_hollow_triangle_is_not_reduced():
+    # Its 1-skeleton is K3, where N[v] is inside N[u] for every pair; the faces say no.
+    c = complex_from_facets(["ab", "ac", "bc"])
+    assert c.strong_collapse.pairs == ()
+    assert c.core is c
+    for ring in RINGS:
+        assert reduced_homology(c, ring).groups == ((0, ()), (1, ()))
+    assert not acyclic_over_z_fast(c)
+
+
+def test_projective_plane_core_keeps_torsion():
+    rp2 = complex_from_facets(RP2_FACETS)
+    assert rp2.strong_collapse.pairs == ()
+    # a tetrahedron glued at a vertex and a pendant edge collapse away; H_3 pads with zero
+    glued = complex_from_facets(RP2_FACETS + [tuple("awxy"), tuple("bz")])
+    assert glued.dim == 3 and glued.core.dim == 2
+    assert sorted(glued.core.labels) == sorted(rp2.labels)
+    replay_strong_collapse(glued)
+    want = {
+        "Z": ((0, ()), (0, (2,)), (0, ())),
+        "Q": ((0, ()), (0, ()), (0, ())),
+        "Fp:2": ((0, ()), (1, ()), (1, ())),
+        "Fp:3": ((0, ()), (0, ()), (0, ())),
+    }
+    for ring in RINGS:
+        assert reduced_homology(rp2, ring).groups == want[ring]
+        assert reduced_homology(glued, ring).groups == want[ring] + ((0, ()),)
+        assert reduced_homology(glued, ring).groups == reference_homology(glued, ring)
+    assert not acyclic_over_z_fast(glued)
+    # the cone over it is contractible: the apex dominates every vertex
+    cone = complex_from_facets([f + ("z",) for f in RP2_FACETS])
+    replay_strong_collapse(cone)
+    assert cone.core.face_count(0) == 1
+    assert acyclic_over_z_fast(cone)
+    for ring in RINGS:
+        assert reduced_homology(cone, ring).trivial()
+    fixture = flag_complex(projective_plane_poset_graph())
+    replay_strong_collapse(fixture)
+    assert reduced_homology(fixture, "Z").groups == want["Z"]
+
+
+def test_empty_complex_and_two_points():
+    empty = flag_complex(Graph([]))
+    assert empty.strong_collapse.pairs == () and empty.core is empty
+    assert not acyclic_over_z_fast(empty)
+    two = flag_complex(Graph(["a", "b"]))
+    assert two.strong_collapse.pairs == () and two.core is two
+    assert not acyclic_over_z_fast(two)
+    for ring in RINGS:
+        assert reduced_homology(empty, ring).groups == ()
+        assert reduced_homology(two, ring).groups == ((1, ()),)
+
+
+def test_complete_graphs_reduce_to_a_point():
+    for n in range(1, 11):
+        c = flag_complex(complete_graph(n))
+        assert len(c.strong_collapse.pairs) == n - 1
+        assert c.core.face_count(0) == 1
+        for ring in RINGS:
+            groups = reduced_homology(c, ring).groups
+            assert len(groups) == n
+            assert all(g == (0, ()) for g in groups)
+        assert acyclic_over_z_fast(c)
+
+
+def test_strong_collapse_certificates_replay_v7():
+    reduced = 0
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            c = flag_complex(g)
+            replay_strong_collapse(c)
+            reduced += bool(c.strong_collapse.pairs)
+    assert reduced > 0
+
+
+def test_core_homology_matches_full_complex_reference_v7():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            c = flag_complex(g)
+            reference = {ring: reference_homology(c, ring) for ring in RINGS}
+            for ring in RINGS:
+                assert reduced_homology(c, ring).groups == reference[ring], (g, ring)
+            acyclic = all(group == (0, ()) for group in reference["Z"])
+            assert acyclic_over_z_fast(flag_complex(g)) == acyclic, g

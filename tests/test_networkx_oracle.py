@@ -1,9 +1,9 @@
-"""Chordality and maximal cliques against networkx, where it is installed."""
+"""Chordality, maximal cliques and the graph atlas against networkx, where it is installed."""
 
 import pytest
 
-from bbraag.enumeration import connected_graphs
-from bbraag.graphs import maximal_clique_masks
+from bbraag.enumeration import connected_graph_count, connected_graphs
+from bbraag.graphs import Graph, canonical_form, maximal_clique_masks
 from bbraag.recognition import is_chordal
 
 nx = pytest.importorskip("networkx")
@@ -25,3 +25,23 @@ def test_chordality_and_maximal_cliques_match_networkx_v8():
             examined += 1
     assert examined == 12113
     assert chordal == 1968
+
+
+def test_graph_atlas_counts_and_canonical_forms_v7():
+    # graph_atlas_g() lists every graph on 0..7 vertices once up to isomorphism
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    forms = set()
+    connected: dict[int, set[bytes]] = {}
+    for ng in atlas:
+        labels = [str(v) for v in ng.nodes()]
+        g = Graph(labels, [(str(a), str(b)) for a, b in ng.edges()])
+        form = canonical_form(g)
+        forms.add(form)
+        if g.n and nx.is_connected(ng):
+            connected.setdefault(g.n, set()).add(form)
+    assert len(forms) == 1253
+    assert [len(connected[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    for n in range(1, 8):
+        assert len(connected[n]) == connected_graph_count(n)
+        assert connected[n] == {canonical_form(g) for g in connected_graphs(n)}
