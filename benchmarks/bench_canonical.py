@@ -6,8 +6,8 @@ Usage:
 Times every available backend (pure Python always, the compiled extension
 when built) over the full stream of connected graphs up to --max-n plus a
 bank of symmetric worst cases, and verifies that the backends agree key for
-key.  The generation stream itself is the hot consumer: one augmentation
-pass at n = 8 issues ~116k canonical-form calls.
+key.  The generation stream itself is the hot consumer: canonical deletion
+issues 26,807 canonical-form calls for every order up to n = 8.
 """
 
 import argparse

@@ -1,12 +1,21 @@
 """Isomorph-free generation of small connected graphs and batch property scans.
 
-Generation extends each (n-1)-vertex representative by a new vertex over all
-nonempty neighborhood subsets and dedupes by canonical form, which reaches
-every connected n-vertex graph exactly once.  Streams are ordered by canonical
-graph6 bytes, so scans are reproducible and order-independent; a scan can
-fan out over a worker pool because its counts merge associatively and the
-failing list is sorted at the end.  Each predicate receives one
-:class:`~bbraag.invariants.Analysis` per graph, the context the report uses.
+Generation is canonical deletion (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  The deletion candidates T of a
+connected graph C are the vertices w whose removal leaves C connected and
+whose invariant (degree, then the sorted degrees of the neighbours) is
+largest; the canonical parent of C is the C - w, w in T, with the smallest
+canonical key.  Each (n-1)-vertex representative is extended by a new vertex
+v over every nonempty neighbourhood, and a child is kept only when v is in T
+and no w in T gives a smaller key than the parent's.  The rule reads only the
+isomorphism class of C, so every connected n-vertex graph has exactly one
+parent class; children of one parent that its automorphisms make equal meet
+in a set local to that parent, and no set spans parents.  Streams are
+ordered by canonical graph6 bytes, so scans are reproducible and
+order-independent; a scan can fan out over a worker pool because its counts
+merge associatively and the failing list is sorted at the end.  Each
+predicate receives one :class:`~bbraag.invariants.Analysis` per graph, the
+context the report uses.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Callable, Iterator
 
 from . import _g6, kernel
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, blocks_at, cut_vertices, is_connected
+from .graphs import Graph, _bits, _component_masks, blocks_at, cut_vertices, is_connected
 from .homology import normalize_ring
 from .invariants import INEQUALITIES, Analysis, koszul_hilbert_check, omega_identity_check
 from .recognition import is_droms, is_tree_of_droms, replay_tree_of_droms
@@ -36,18 +45,74 @@ def _canonical_reps(n: int) -> list[bytes]:
     if n == 1:
         out = [_g6.encode(1, 0)]
     else:
-        seen: set[bytes] = set()
-        bit = 1 << (n - 1)
-        for key in _canonical_reps(n - 1):
-            _, adj = _g6.decode(key)
-            for nbhd in range(1, bit):
-                grown = list(adj) + [nbhd]
-                for i in _bits(nbhd):
-                    grown[i] |= bit
-                seen.add(_g6.encode(n, kernel.canon_key(n, grown)))
-        out = sorted(seen)
+        out = [child for key in _canonical_reps(n - 1) for child in _canonical_children(key)]
+        out.sort()
     _reps_cache[n] = out
     return out
+
+
+def _canonical_children(parent: bytes) -> list[bytes]:
+    """Canonical keys of the classes, one vertex larger, whose canonical parent is ``parent``."""
+    m, adj = _g6.decode(parent)
+    parent_key = _g6.key_from_adj(m, adj)
+    deg = [a.bit_count() for a in adj]
+    nbrs = [tuple(_bits(a)) for a in adj]
+    # The child minus u is connected iff S meets every component of the parent minus u.
+    full = (1 << m) - 1
+    parts = [_component_masks(m, adj, full & ~(1 << u)) for u in range(m)]
+    # A vertex that does not cut the parent does not cut the child once
+    # |S| > 1, so one whose degree in the child exceeds |S| puts v out of T.
+    # These masks reject most neighbourhoods before any per-vertex work.
+    above = [0] * (m + 1)
+    level = [0] * (m + 1)
+    for u in range(m):
+        if len(parts[u]) <= 1:
+            for k in range(deg[u]):
+                above[k] |= 1 << u
+            level[deg[u]] |= 1 << u
+    vertex = 1 << m
+    kept: set[int] = set()
+    for s in range(1, vertex):
+        k = s.bit_count()
+        if k > 1 and (above[k] or s & level[k]):
+            continue
+        rivals = _deletion_rivals(s, deg, nbrs, parts)
+        if rivals is None:
+            continue
+        grown = [a | vertex if s >> u & 1 else a for u, a in enumerate(adj)]
+        grown.append(s)
+        if any(kernel.canon_key(m, _delete(grown, w)) < parent_key for w in rivals):
+            continue
+        kept.add(kernel.canon_key(m + 1, grown))
+    return [_g6.encode(m + 1, key) for key in kept]
+
+
+def _deletion_rivals(s: int, deg, nbrs, parts) -> list[int] | None:
+    """Parent vertices tied with the new vertex v (joined to ``s``) as deletion candidates.
+
+    A candidate leaves the child connected; the candidates with the largest
+    (degree, sorted neighbour degrees) form T.  None means v is not in T.
+    """
+    k = s.bit_count()
+    dc = [d + (s >> u & 1) for u, d in enumerate(deg)]
+    ties = [u for u, d in enumerate(dc) if d >= k and all(s & p for p in parts[u])]
+    if any(dc[u] > k for u in ties):
+        return None
+    own = sorted(dc[u] for u in _bits(s))
+    rivals = []
+    for u in ties:
+        theirs = sorted([dc[x] for x in nbrs[u]] + [k] * (s >> u & 1))
+        if theirs > own:
+            return None
+        if theirs == own:
+            rivals.append(u)
+    return rivals
+
+
+def _delete(adj: list[int], w: int) -> list[int]:
+    """Adjacency masks with vertex ``w`` removed and the later vertices shifted down."""
+    low = (1 << w) - 1
+    return [(a & low) | ((a >> 1) & ~low) for i, a in enumerate(adj) if i != w]
 
 
 def _graph_from_key(key: bytes) -> Graph:

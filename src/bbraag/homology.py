@@ -13,6 +13,7 @@ bit rows over F_2).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -543,40 +544,41 @@ def collapse_to_point(c: SimplicialComplex) -> CollapseResult:
     """Greedy elementary collapses, smallest (dimension, labels) free face first.
 
     COLLAPSIBLE certifies contractibility (hence simple connectivity); STUCK is
-    inconclusive, so callers must not read it as a negative.
+    inconclusive, so callers must not read it as a negative.  A face is free
+    when exactly one face contains it, and that face is then f plus one
+    vertex.  Free faces wait in a heap in the order above; an entry whose face
+    has been removed or has lost its coface since is skipped when popped.
     """
-    faces = {_mask(f) for fs in c.faces for f in fs}
-    over: dict[int, int] = {f: 0 for f in faces}
-    for g in faces:
+    over: dict[int, int] = {_mask(f): 0 for fs in c.faces for f in fs}
+    for g in list(over):
         for sub in _proper_submasks(g):
             if sub in over:
                 over[sub] += 1
 
-    def sort_key(mask: int):
-        return (mask.bit_count(), tuple(c.labels[i] for i in _bits(mask)))
-
     def labels_of(mask: int):
         return tuple(c.labels[i] for i in _bits(mask))
 
+    def entry(mask: int):
+        return (mask.bit_count(), labels_of(mask), mask)
+
+    heap = [entry(f) for f, count in over.items() if count == 1]
+    heapq.heapify(heap)
     sequence = []
-    while True:
-        free = [f for f in faces if over[f] == 1]
-        if not free:
-            break
-        f = min(free, key=sort_key)
-        coface = next(
-            g for g in faces
-            if g != f and g & f == f and g.bit_count() == f.bit_count() + 1
-        )
+    while heap:
+        _, labels, f = heapq.heappop(heap)
+        if over.get(f) != 1:
+            continue
+        coface = next(g for g in (f | 1 << v for v in range(len(c.labels))) if g != f and g in over)
         for removed in (f, coface):
-            faces.remove(removed)
             del over[removed]
             for sub in _proper_submasks(removed):
                 if sub in over:
                     over[sub] -= 1
-        sequence.append((labels_of(f), labels_of(coface)))
-    remaining = tuple(sorted((labels_of(f) for f in faces), key=lambda t: (len(t), t)))
-    return CollapseResult(len(faces) == 1, tuple(sequence), remaining)
+                    if over[sub] == 1:
+                        heapq.heappush(heap, entry(sub))
+        sequence.append((labels, labels_of(coface)))
+    remaining = tuple(sorted((labels_of(f) for f in over), key=lambda t: (len(t), t)))
+    return CollapseResult(len(over) == 1, tuple(sequence), remaining)
 
 
 def _proper_submasks(mask: int):

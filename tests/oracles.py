@@ -4,7 +4,9 @@ Everything here recomputes results by a different route than the library:
 permutation-based isomorphism, labeled brute-force graph counting, Fraction
 Gaussian elimination for homology, gcd-of-minors for invariant factors,
 homology of the full complex with no core reduction, vertex domination read
-off the faces, and a from-scratch graph6 reader.  Keep these free of bbraag
+off the faces, a from-scratch graph6 reader, generation by extending every
+class and deduplicating through one set per order, and greedy collapse by
+rescanning every face at each step.  Keep these free of bbraag
 internals beyond the public Graph accessors.
 """
 
@@ -199,6 +201,75 @@ def reference_homology(complex_, ring):
 def dominates(faces, u, v) -> bool:
     """Every face (a set of labels) containing v stays a face when u is added."""
     return all(f | {u} in faces for f in faces if v in f)
+
+
+def seen_set_canonical_reps(max_n, canon_key):
+    """{n: canonical graph6 keys of the connected n-vertex graphs, ascending} for n <= max_n.
+
+    Every class of order n - 1 is extended by a new vertex over every
+    nonempty neighbourhood, and all children of one order are deduplicated
+    by their ``canon_key`` in one set.
+    """
+    from bbraag import _g6
+
+    reps = {1: [_g6.encode(1, 0)]}
+    for n in range(2, max_n + 1):
+        seen = set()
+        bit = 1 << (n - 1)
+        for key in reps[n - 1]:
+            _, adj = _g6.decode(key)
+            for nbhd in range(1, bit):
+                grown = [a | bit if nbhd >> i & 1 else a for i, a in enumerate(adj)]
+                grown.append(nbhd)
+                seen.add(_g6.encode(n, canon_key(n, grown)))
+        reps[n] = sorted(seen)
+    return reps
+
+
+def _proper_submasks(mask):
+    sub = (mask - 1) & mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def rescanning_collapse(complex_):
+    """(collapsible, sequence, remaining) of greedy elementary collapses.
+
+    Each step rescans every face for the free ones (contained in exactly one
+    other face), removes the smallest by (size, labels) and scans every face
+    again for its coface.
+    """
+    labels = complex_.labels
+
+    def labels_of(mask):
+        return tuple(labels[i] for i in range(len(labels)) if mask >> i & 1)
+
+    faces = {sum(1 << i for i in f) for fs in complex_.faces for f in fs}
+    over = {f: 0 for f in faces}
+    for g in faces:
+        for sub in _proper_submasks(g):
+            if sub in over:
+                over[sub] += 1
+    sequence = []
+    while True:
+        free = [f for f in faces if over[f] == 1]
+        if not free:
+            break
+        f = min(free, key=lambda m: (bin(m).count("1"), labels_of(m)))
+        coface = next(
+            g for g in faces
+            if g != f and g & f == f and bin(g).count("1") == bin(f).count("1") + 1
+        )
+        for removed in (f, coface):
+            faces.remove(removed)
+            del over[removed]
+            for sub in _proper_submasks(removed):
+                if sub in over:
+                    over[sub] -= 1
+        sequence.append((labels_of(f), labels_of(coface)))
+    remaining = tuple(sorted((labels_of(f) for f in faces), key=lambda t: (len(t), t)))
+    return len(faces) == 1, tuple(sequence), remaining
 
 
 def minor_gcd(matrix, k) -> int:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import bbraag.enumeration as enumeration
+from bbraag import _g6, kernel
 from bbraag.errors import CapacityError, DomainError
 from bbraag.graphs import canonical_form, is_connected
 from bbraag.enumeration import (
@@ -14,7 +16,7 @@ from bbraag.enumeration import (
     scan_property,
 )
 
-from oracles import count_connected_classes
+from oracles import count_connected_classes, mask_connected, seen_set_canonical_reps
 
 
 def test_counts_against_labeled_oracle():
@@ -25,6 +27,61 @@ def test_counts_against_labeled_oracle():
 
 def test_known_counts():
     assert [connected_graph_count(n) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+@pytest.fixture(scope="module")
+def seen_set_reps():
+    from bbraag import _canon_py
+
+    return seen_set_canonical_reps(7, _canon_py.canon_key)
+
+
+@pytest.mark.parametrize("name", ["pure-python", "cython"])
+def test_generation_matches_seen_set_oracle(name, seen_set_reps, monkeypatch):
+    module = dict(kernel.available_backends()).get(name)
+    if module is None:
+        pytest.skip(f"the {name} kernel is not built in this environment")
+    monkeypatch.setattr(enumeration, "_reps_cache", {})
+    monkeypatch.setattr(kernel, "canon_key", module.canon_key)
+    for n in range(1, 8):
+        assert _canonical_reps(n) == seen_set_reps[n], n
+
+
+def assert_canonical_and_connected(n, keys):
+    assert len(set(keys)) == len(keys)
+    assert keys == sorted(keys)
+    for key in keys:
+        order, adj = _g6.decode(key)
+        assert order == n
+        assert _g6.encode(n, kernel.canon_key(n, adj)) == key
+        assert mask_connected(n, adj), key
+
+
+def test_generation_kernel_budget_v8(monkeypatch):
+    # Extending every class over every neighbourhood takes 116,146 calls for n <= 8.
+    calls = 0
+    real = kernel.canon_key
+
+    def counting(n, adj):
+        nonlocal calls
+        calls += 1
+        return real(n, adj)
+
+    enumeration._reps_cache.clear()
+    monkeypatch.setattr(kernel, "canon_key", counting)
+    reps = {n: _canonical_reps(n) for n in range(1, 9)}
+    assert calls <= 30_000
+    monkeypatch.undo()
+    assert [len(reps[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11_117]
+    for n, keys in reps.items():
+        assert_canonical_and_connected(n, keys)
+
+
+@pytest.mark.slow
+def test_nine_vertex_classes():
+    keys = _canonical_reps(9)
+    assert len(keys) == 261_080  # OEIS A001349
+    assert_canonical_and_connected(9, keys)
 
 
 def test_capacity_bounds():

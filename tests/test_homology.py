@@ -21,7 +21,14 @@ from bbraag.homology import (
 from bbraag.patterns import complete_graph, cycle_graph, gem_graph, overlapping_gems_graph, path_graph
 from bbraag.enumeration import connected_graphs
 
-from oracles import dominates, fraction_rank, minor_gcd, rational_reduced_betti, reference_homology
+from oracles import (
+    dominates,
+    fraction_rank,
+    minor_gcd,
+    rational_reduced_betti,
+    reference_homology,
+    rescanning_collapse,
+)
 
 
 # -- rings ------------------------------------------------------------------------
@@ -538,3 +545,22 @@ def test_core_homology_matches_full_complex_reference_v7():
                 assert reduced_homology(c, ring).groups == reference[ring], (g, ring)
             acyclic = all(group == (0, ()) for group in reference["Z"])
             assert acyclic_over_z_fast(flag_complex(g)) == acyclic, g
+
+
+def test_collapse_matches_rescanning_oracle():
+    complexes = [flag_complex(g) for n in range(1, 8) for g in connected_graphs(n)]
+    complexes += [
+        flag_complex(Graph([])),
+        flag_complex(complete_graph(8)),
+        flag_complex(projective_plane_poset_graph()),
+        complex_from_facets(["ab", "ac", "bc"]),
+        complex_from_facets(RP2_FACETS),
+        complex_from_facets(RP2_FACETS + [tuple("awxy"), tuple("bz")]),
+        complex_from_facets([f + ("z",) for f in RP2_FACETS]),
+    ]
+    outcomes = set()
+    for c in complexes:
+        res = collapse_to_point(c)
+        assert (res.collapsible, res.sequence, res.remaining) == rescanning_collapse(c)
+        outcomes.add(res.collapsible)
+    assert outcomes == {True, False}
