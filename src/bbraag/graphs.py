@@ -16,6 +16,9 @@ from . import _g6, kernel
 from .errors import CapacityError, DomainError
 
 CANONICAL_VERTEX_BOUND = 10
+# Cliques one graph may have before an enumeration stops with CapacityError;
+# K_17 has 131,071, the largest benchmark complexes a few thousand.
+CLIQUE_BUDGET = 250_000
 
 
 class Graph:
@@ -215,7 +218,57 @@ def central_vertices(g: Graph) -> list[str]:
     return sorted(g.labels[i] for i in range(g.n) if g.adj[i].bit_count() == want)
 
 
+@dataclass(frozen=True)
+class Dismantling:
+    """Dominated-vertex deletions of a graph, as a replayable certificate.
+
+    Replayed in order, each ``(removed, dominator)`` pair has N[removed]
+    inside N[dominator] among the vertices the earlier pairs left.  ``alive``
+    is the mask of the vertices no pair removed.
+    """
+
+    pairs: tuple[tuple[str, str], ...]
+    alive: int
+
+
+def dismantle(g: Graph) -> Dismantling:
+    """Delete the lowest dominated vertex, with its lowest dominator, until none is left.
+
+    On a flag complex "every facet through v contains u" is N[v] inside N[u],
+    so the vertices left span the strong-collapse core of the flag complex
+    (Nowakowski-Winkler 1983, Barmak-Minian 2012), found here without faces.
+    """
+    closed = [a | 1 << i for i, a in enumerate(g.adj)]
+    alive = (1 << g.n) - 1
+    pairs = []
+    while True:
+        todo = alive
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
+            # the dominators of v: alive, not v, and in N[w] for every w in N[v]
+            common = alive ^ bit
+            around = closed[v] & alive
+            while around and common:
+                w = around & -around
+                around ^= w
+                common &= closed[w.bit_length() - 1]
+            if common:
+                u = (common & -common).bit_length() - 1
+                pairs.append((g.labels[v], g.labels[u]))
+                alive ^= bit
+                break
+        else:
+            return Dismantling(tuple(pairs), alive)
+
+
 # -- cliques -------------------------------------------------------------------
+
+
+def _over_budget(count: int) -> None:
+    if count > CLIQUE_BUDGET:
+        raise CapacityError(f"more than {CLIQUE_BUDGET} cliques")
 
 
 def maximal_clique_masks(n: int, adj) -> list[int]:
@@ -225,6 +278,7 @@ def maximal_clique_masks(n: int, adj) -> list[int]:
     def expand(r: int, p: int, x: int):
         if not p and not x:
             out.append(r)
+            _over_budget(len(out))
             return
         pivot, best = -1, -1
         for u in _bits(p | x):
@@ -242,7 +296,10 @@ def maximal_clique_masks(n: int, adj) -> list[int]:
 
 
 def clique_masks(n: int, adj) -> set[int]:
-    """Every clique of the graph as a vertex mask, the empty one included."""
+    """Every clique of the graph as a vertex mask, the empty one included.
+
+    More than CLIQUE_BUDGET cliques raise CapacityError.
+    """
     seen = {0}
     stack = []
     for top in maximal_clique_masks(n, adj):
@@ -256,7 +313,34 @@ def clique_masks(n: int, adj) -> set[int]:
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
+        _over_budget(len(seen) - 1)
     return seen
+
+
+def clique_euler(adj, universe: int) -> int:
+    """Sum of (-1)^(|K|-1) over the nonempty cliques K inside ``universe``.
+
+    This is the Euler characteristic of the flag complex on ``universe``,
+    found by extending each clique by its common neighbours above its largest
+    vertex, so no clique is stored.  More than CLIQUE_BUDGET cliques raise
+    CapacityError.
+    """
+    total = count = 0
+    # (candidates, sign): the cliques K + v for v in candidates, signed by |K| + 1
+    stack = [(universe, 1)]
+    while stack:
+        cands, sign = stack.pop()
+        k = cands.bit_count()
+        total += sign * k
+        count += k
+        _over_budget(count)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            grow = cands & adj[low.bit_length() - 1]
+            if grow:
+                stack.append((grow, -sign))
+    return total
 
 
 def all_cliques(g: Graph) -> list[tuple[str, ...]]:

@@ -9,6 +9,13 @@ deleted, which keeps the homotopy type); integral homology then goes through
 Smith normal form with a deterministic pivot rule, field homology through
 exact rank computations (fraction-free over Q, modular over F_p, on packed
 bit rows over F_2).
+
+The core here is read off the faces, so complexes that are not flag
+complexes reduce correctly.  For the flag complex of a graph the same core
+comes from dismantling the graph (:func:`bbraag.graphs.dismantle`: v is
+dominated by u when N[v] lies inside N[u]) before any face exists; that is the
+route :class:`bbraag.invariants.Analysis` takes.  :func:`flag_complex` stops
+with CapacityError beyond :data:`bbraag.graphs.CLIQUE_BUDGET` cliques.
 """
 
 from __future__ import annotations
@@ -589,7 +596,7 @@ def _proper_submasks(mask: int):
 
 
 def acyclic_over_z_fast(c: SimplicialComplex) -> bool:
-    """Staged, exact test for Z-acyclicity (used by the scans and the Analysis).
+    """Staged, exact test for Z-acyclicity of any complex, flag or not.
 
     The reduced Euler characteristic is a cheap necessary condition, a
     strong-collapse core of one vertex a sufficient certificate, and the

@@ -24,19 +24,23 @@ from typing import Callable, Optional, Union
 from .errors import DomainError, NotSupportedError
 from .formats import format_graph6
 from .graphs import (
+    Dismantling,
     Graph,
+    _bits,
     _mask,
     blocks_at,
     central_vertices,
+    clique_euler,
     clique_number,
     cut_vertices,
+    dismantle,
     is_connected,
 )
 from .homology import (
     CollapseResult,
     HomologyGroups,
     SimplicialComplex,
-    acyclic_over_z_fast,
+    _full_subcomplex,
     collapse_to_point,
     flag_complex,
     is_field,
@@ -61,6 +65,11 @@ class Analysis:
     The library builds one per call and keeps none between calls.  Never look
     one up by Graph: face indices follow the vertex order, which Graph
     equality ignores.
+
+    Homology and acyclicity are decided on the dismantled graph (``core``),
+    whose flag complex is the strong-collapse core of the full one.  A caller
+    that needs the faces anyway reads ``complex`` first; the core complex and
+    ``dim`` are then cut from it rather than enumerated again.
     """
 
     def __init__(self, g: Graph):
@@ -71,6 +80,25 @@ class Analysis:
     @cached_property
     def complex(self) -> SimplicialComplex:
         return flag_complex(self.graph)
+
+    @cached_property
+    def core(self) -> Dismantling:
+        return dismantle(self.graph)
+
+    @cached_property
+    def _core_complex(self) -> SimplicialComplex:
+        alive = self.core.alive
+        if "complex" in self.__dict__:
+            return _full_subcomplex(self.complex, alive)
+        g = self.graph
+        return flag_complex(g.induced(g.labels[i] for i in _bits(alive)))
+
+    @cached_property
+    def dim(self) -> int:
+        """Dimension of the flag complex: the clique number minus one."""
+        if "complex" in self.__dict__:
+            return self.complex.dim
+        return clique_number(self.graph) - 1
 
     @cached_property
     def collapse(self) -> CollapseResult:
@@ -85,21 +113,31 @@ class Analysis:
         return is_tree_of_droms(self.graph, self.chordality)
 
     def homology(self, ring: str) -> HomologyGroups:
+        """Reduced homology of the core complex, padded with zero groups up to ``dim``."""
         tag = normalize_ring(ring)
         if tag not in self._homology:
-            self._homology[tag] = reduced_homology(self.complex, tag)
+            groups = reduced_homology(self._core_complex, tag).groups
+            groups += ((0, ()),) * (self.dim + 1 - len(groups))
+            self._homology[tag] = HomologyGroups(tag, groups)
         return self._homology[tag]
 
     def acyclic(self, ring: str) -> bool:
-        """Over Z the staged test, unless the integral homology is already known."""
-        tag = normalize_ring(ring)
-        if tag == "Z" and tag not in self._homology:
-            return self._acyclic_over_z
-        return self.homology(tag).trivial()
+        """Whether the reduced homology vanishes over the ring, decided on the core.
+
+        A one-vertex core is contractible.  Otherwise the Euler characteristic
+        of the core's cliques, a homotopy invariant, must be 1; only then is
+        homology computed.  The empty graph (Euler characteristic 0) is not
+        acyclic.
+        """
+        if self.core.alive.bit_count() == 1:
+            return True
+        if self._core_euler != 1:
+            return False
+        return self.homology(ring).trivial()
 
     @cached_property
-    def _acyclic_over_z(self) -> bool:
-        return acyclic_over_z_fast(self.complex)
+    def _core_euler(self) -> int:
+        return clique_euler(self.graph.adj, self.core.alive)
 
     def cohomology(self, ring: str) -> CohomologyQuotient:
         tag = normalize_ring(ring)
@@ -140,6 +178,10 @@ def finitely_presented_lie(g: GraphOrAnalysis, ring: str) -> bool:
 def finitely_presented_group(g: GraphOrAnalysis) -> str:
     """Three-valued: YES via collapsibility, NO via nonzero integral H_1, else UNKNOWN.
 
+    A one-vertex core is a strong collapse to a point, which is a sequence of
+    elementary collapses; otherwise the greedy
+    :func:`~bbraag.homology.collapse_to_point` is tried.
+
     Simple connectivity of the flag complex is what finite presentation of the
     group needs, and that is not decided here in general.
     """
@@ -147,7 +189,7 @@ def finitely_presented_group(g: GraphOrAnalysis) -> str:
     hom = a.homology("Z")
     if hom.free_rank(1) or hom.torsion(1):
         return "NO"
-    if a.collapse.collapsible:
+    if a.core.alive.bit_count() == 1 or a.collapse.collapsible:
         return "YES"
     return "UNKNOWN"
 
@@ -185,12 +227,13 @@ class BBFreeResult:
 
 def bb_free(g: GraphOrAnalysis) -> BBFreeResult:
     """Free of rank v-1 exactly for trees."""
-    g = _analysis(g).graph
+    a = _analysis(g)
+    g = a.graph
     if not is_connected(g):
         return BBFreeResult(False, None, "disconnected: not finitely generated")
     if g.edge_count == g.n - 1:
         return BBFreeResult(True, g.n - 1, "tree")
-    if clique_number(g) >= 3:
+    if a.dim >= 2:
         return BBFreeResult(False, None, "contains a triangle: cohomological dimension >= 2")
     return BBFreeResult(False, None, "contains an induced cycle: not finitely presented subobject")
 
@@ -388,7 +431,7 @@ def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityRe
     if hom.free_rank(1) or hom.torsion(1):
         return OmegaIdentityResult(False, f"flag complex not 1-acyclic over {ring}")
     v, e = a.graph.n, a.graph.edge_count
-    n = a.complex.dim
+    n = a.dim
     lhs = (n + 1) * _omega_raw(v - 1, e - v + 1, n)
     rhs = n * _omega_raw(v, e, n + 1) - (v - n - 1) ** 2
     return OmegaIdentityResult(True, "", lhs, rhs, lhs == rhs)
@@ -420,11 +463,11 @@ def _holds(name: str, lhs: int, rhs: int, note: str = "") -> InequalityOutcome:
 
 
 def _turan_nonneg(a: Analysis, ring: str) -> InequalityOutcome:
-    """omega(RAAG) >= 0; reads the clique number, not the flag complex."""
+    """omega(RAAG) >= 0, with cd(RAAG) the clique number."""
     g = a.graph
     if not g.n:
         return InequalityOutcome("turan_nonneg", False, reason="empty graph")
-    return _holds("turan_nonneg", _omega_raw(g.n, g.edge_count, clique_number(g)), 0)
+    return _holds("turan_nonneg", _omega_raw(g.n, g.edge_count, a.dim + 1), 0)
 
 
 def _acyclic_dim_bound(a: Analysis, ring: str) -> InequalityOutcome:
@@ -433,20 +476,20 @@ def _acyclic_dim_bound(a: Analysis, ring: str) -> InequalityOutcome:
     if not (v and a.acyclic(ring)):
         reason = f"flag complex not acyclic over {ring}"
         return InequalityOutcome("acyclic_dim_bound", False, reason=reason)
-    return _holds("acyclic_dim_bound", a.complex.dim * (v * v - 2 * e - 1), (v - 1) ** 2)
+    return _holds("acyclic_dim_bound", a.dim * (v * v - 2 * e - 1), (v - 1) ** 2)
 
 
 def _droms_tree_bound(a: Analysis, ring: str) -> InequalityOutcome:
     v, e = a.graph.n, a.graph.edge_count
     if not a.tree_of_droms.tree_of_droms:
         return InequalityOutcome("droms_tree_bound", False, reason="not a tree of Droms graphs")
-    lhs = a.complex.dim * (v * v - 2 * e - 2)
+    lhs = a.dim * (v * v - 2 * e - 2)
     return _holds("droms_tree_bound", lhs, (v - 1) ** 2, DROMS_TREE_BOUND_NOTE)
 
 
 def _two_dim_edge_bound(a: Analysis, ring: str) -> InequalityOutcome:
     v, e = a.graph.n, a.graph.edge_count
-    if not (v and a.complex.dim == 2 and a.acyclic(ring)):
+    if not (v and a.dim == 2 and a.acyclic(ring)):
         reason = "needs an acyclic 2-dimensional flag complex"
         return InequalityOutcome("two_dim_edge_bound", False, reason=reason)
     return _holds("two_dim_edge_bound", (v + 1) ** 2, 4 * (e + 1))
@@ -675,7 +718,7 @@ def invariant_report(
     tags = list(dict.fromkeys(normalize_ring(ring) for ring in rings))
     connected = is_connected(g)
     v, e = g.n, g.edge_count
-    c = a.complex
+    c = a.complex  # first, so that the core complex is cut from it
     cd = c.dim + 1
     ring_reports = []
     for tag in tags:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -143,6 +144,18 @@ def test_capacity_error_exit_4(capsys):
     code, _, err = run(capsys, "scan", "turan_nonneg", "--max-v", "12")
     assert code == 4
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("command", ["report", "homology"])
+def test_clique_budget_exit_4(capsys, command):
+    from bbraag.formats import format_graph6
+    from bbraag.patterns import complete_graph
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--graph6", format_graph6(complete_graph(24)))
+    assert time.perf_counter() - start < 10
+    assert code == 4 and out == ""
+    assert "capacity error: more than" in err
 
 
 def test_scan_failures_exit_5(capsys, monkeypatch):

@@ -306,6 +306,33 @@ def test_scan_ring_normalized():
     assert scan_property("acyclic_dim_bound", 3, ring="Fp:02").ring == "Fp:2"
 
 
+def test_dim_bound_scan_builds_faces_only_when_euler_is_inconclusive(monkeypatch):
+    """The scan's flag complexes are the cores with several vertices and Euler characteristic 1."""
+    import bbraag.invariants as inv
+    from bbraag.homology import flag_complex
+
+    def skeleton(labels, edges):
+        return labels, sorted(tuple(sorted(e)) for e in edges)
+
+    want = []
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            c = flag_complex(g)
+            if c.core.face_count(0) > 1 and c.euler_characteristic() == 1:
+                want.append(skeleton(c.core.labels, c.core.face_labels(1)))
+    built = []
+    real = inv.flag_complex
+
+    def recording(g):
+        built.append(skeleton(g.labels, g.edges()))
+        return real(g)
+
+    monkeypatch.setattr(inv, "flag_complex", recording)
+    rep = scan_property("acyclic_dim_bound", 7)
+    assert (rep.examined, rep.applicable, rep.failed) == (996, 496, 0)
+    assert want and sorted(built) == sorted(want)
+
+
 def test_hereditary_scan_v7():
     rep = scan_property("hereditary_tree_of_droms", 7)
     assert rep.applicable == 233  # trees of Droms graphs with <= 7 vertices

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from bbraag.errors import CapacityError, DomainError
+import bbraag.graphs as graphs
 from bbraag.graphs import (
     Graph,
     all_cliques,
     blocks_at,
     canonical_form,
     central_vertices,
+    clique_euler,
+    clique_masks,
     clique_number,
     connected_components,
     cut_vertices,
@@ -166,6 +169,22 @@ def test_clique_number():
     assert clique_number(star_graph(3)) == 2
     assert clique_number(Graph([])) == 0
     assert clique_number(Graph(["a"])) == 1
+
+
+def test_clique_budget(monkeypatch):
+    k5 = complete_graph(5)  # 31 nonempty cliques, one of them maximal
+    edgeless = Graph("abcd")  # 4 cliques, all maximal
+    monkeypatch.setattr(graphs, "CLIQUE_BUDGET", 31)
+    assert len(clique_masks(k5.n, k5.adj)) == 32
+    assert clique_euler(k5.adj, 0b11111) == 1
+    monkeypatch.setattr(graphs, "CLIQUE_BUDGET", 30)
+    with pytest.raises(CapacityError):
+        clique_masks(k5.n, k5.adj)
+    with pytest.raises(CapacityError):
+        clique_euler(k5.adj, 0b11111)
+    monkeypatch.setattr(graphs, "CLIQUE_BUDGET", 3)
+    with pytest.raises(CapacityError):
+        clique_number(edgeless)
 
 
 def test_canonical_form_bound():

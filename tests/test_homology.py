@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from bbraag.errors import CapacityError, DomainError
-from bbraag.graphs import Graph, central_vertices
+from bbraag.graphs import Graph, central_vertices, clique_euler, dismantle, is_connected
 from bbraag.homology import (
     SimplicialComplex,
     acyclic_over_z_fast,
@@ -20,6 +20,7 @@ from bbraag.homology import (
 )
 from bbraag.patterns import complete_graph, cycle_graph, gem_graph, overlapping_gems_graph, path_graph
 from bbraag.enumeration import connected_graphs
+from bbraag.invariants import Analysis
 
 from oracles import (
     dominates,
@@ -536,15 +537,57 @@ def test_strong_collapse_certificates_replay_v7():
     assert reduced > 0
 
 
+def small_graphs():
+    """Every connected graph with v <= 7, then the empty graph, one vertex and
+    seeded random graphs on shuffled labels, most of them disconnected."""
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [Graph([]), Graph(["a"]), Graph("ba"), Graph("zyxwvu", ["zy", "yx", "xz", "wv"])]
+    rng = random.Random(59)
+    for _ in range(60):
+        labels = [f"v{i}" for i in range(rng.randint(2, 8))]
+        rng.shuffle(labels)
+        edges = [e for e in combinations(labels, 2) if rng.random() < 0.35]
+        graphs.append(Graph(labels, edges))
+    assert sum(not is_connected(g) for g in graphs) > 30
+    return graphs
+
+
+def assert_dismantling_is_strong_collapse(g):
+    """The graph-level core against the face-based one of the flag complex."""
+    c = flag_complex(g)
+    core = dismantle(g)
+    assert core.pairs == c.strong_collapse.pairs, g
+    assert tuple(g.labels[i] for i in range(g.n) if core.alive >> i & 1) == c.core.labels
+    assert clique_euler(g.adj, core.alive) == c.core.euler_characteristic()
+    assert Analysis(g).dim == c.dim
+
+
+def test_dismantling_matches_strong_collapse_v7():
+    for g in small_graphs():
+        assert_dismantling_is_strong_collapse(g)
+
+
+@pytest.mark.slow
+def test_dismantling_matches_strong_collapse_v8():
+    for g in connected_graphs(8):
+        assert_dismantling_is_strong_collapse(g)
+
+
 def test_core_homology_matches_full_complex_reference_v7():
-    for n in range(1, 8):
-        for g in connected_graphs(n):
-            c = flag_complex(g)
-            reference = {ring: reference_homology(c, ring) for ring in RINGS}
-            for ring in RINGS:
-                assert reduced_homology(c, ring).groups == reference[ring], (g, ring)
-            acyclic = all(group == (0, ()) for group in reference["Z"])
-            assert acyclic_over_z_fast(flag_complex(g)) == acyclic, g
+    for g in small_graphs():
+        c = flag_complex(g)
+        reference = {ring: reference_homology(c, ring) for ring in RINGS}
+        a = Analysis(g)  # builds the core's flag complex
+        cut = Analysis(g)  # cuts the core complex from the full one
+        assert cut.complex == c
+        for ring in RINGS:
+            assert reduced_homology(c, ring).groups == reference[ring], (g, ring)
+            assert a.homology(ring).groups == reference[ring], (g, ring)
+            assert cut.homology(ring).groups == reference[ring], (g, ring)
+        # the empty complex has nonzero reduced homology in degree -1
+        acyclic = g.n > 0 and all(group == (0, ()) for group in reference["Z"])
+        assert acyclic_over_z_fast(flag_complex(g)) == acyclic, g
+        assert Analysis(g).acyclic("Z") == a.acyclic("Z") == acyclic, g
 
 
 def test_collapse_matches_rescanning_oracle():

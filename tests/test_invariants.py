@@ -352,6 +352,29 @@ def test_finitely_presented_group_values():
     assert finitely_presented_group(cycle_graph(5)) == "NO"
 
 
+def test_finitely_presented_group_one_vertex_core_skips_collapse(monkeypatch):
+    import bbraag.invariants as inv
+    from bbraag.homology import collapse_to_point, flag_complex
+
+    real = inv.collapse_to_point
+    collapses = []
+
+    def counting(c):
+        collapses.append(c)
+        return real(c)
+
+    monkeypatch.setattr(inv, "collapse_to_point", counting)
+    assert finitely_presented_group(gem_graph()) == "YES"
+    assert collapses == []
+    # the fast path turns no greedy-collapse UNKNOWN into a YES here
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            a = Analysis(g)
+            h1 = a.homology("Z").free_rank(1) or a.homology("Z").torsion(1)
+            greedy = "NO" if h1 else "YES" if collapse_to_point(flag_complex(g)).collapsible else "UNKNOWN"
+            assert finitely_presented_group(a) == greedy, g
+
+
 # -- report assembly ---------------------------------------------------------------------------
 
 
