@@ -13,9 +13,9 @@ bit rows over F_2).
 The core here is read off the faces, so complexes that are not flag
 complexes reduce correctly.  For the flag complex of a graph the same core
 comes from dismantling the graph (:func:`bbraag.graphs.dismantle`: v is
-dominated by u when N[v] lies inside N[u]) before any face exists; that is the
-route :class:`bbraag.invariants.Analysis` takes.  :func:`flag_complex` stops
-with CapacityError beyond :data:`bbraag.graphs.CLIQUE_BUDGET` cliques.
+dominated by u when N[v] lies inside N[u]) before any face exists; that is how
+:class:`bbraag.invariants.Analysis` decides acyclicity.  :func:`flag_complex`
+stops with CapacityError beyond :data:`bbraag.graphs.CLIQUE_BUDGET` cliques.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .formats import format_graph6
 from .graphs import (
     Dismantling,
     Graph,
-    _bits,
     _mask,
     blocks_at,
     central_vertices,
@@ -40,7 +39,6 @@ from .homology import (
     CollapseResult,
     HomologyGroups,
     SimplicialComplex,
-    _full_subcomplex,
     collapse_to_point,
     flag_complex,
     is_field,
@@ -66,10 +64,10 @@ class Analysis:
     one up by Graph: face indices follow the vertex order, which Graph
     equality ignores.
 
-    Homology and acyclicity are decided on the dismantled graph (``core``),
-    whose flag complex is the strong-collapse core of the full one.  A caller
-    that needs the faces anyway reads ``complex`` first; the core complex and
-    ``dim`` are then cut from it rather than enumerated again.
+    Acyclicity is decided on the dismantled graph (``core``), whose flag
+    complex is the strong-collapse core of the full one: most graphs are
+    settled by the core's size or its clique Euler characteristic before any
+    face is built.
     """
 
     def __init__(self, g: Graph):
@@ -86,18 +84,8 @@ class Analysis:
         return dismantle(self.graph)
 
     @cached_property
-    def _core_complex(self) -> SimplicialComplex:
-        alive = self.core.alive
-        if "complex" in self.__dict__:
-            return _full_subcomplex(self.complex, alive)
-        g = self.graph
-        return flag_complex(g.induced(g.labels[i] for i in _bits(alive)))
-
-    @cached_property
     def dim(self) -> int:
         """Dimension of the flag complex: the clique number minus one."""
-        if "complex" in self.__dict__:
-            return self.complex.dim
         return clique_number(self.graph) - 1
 
     @cached_property
@@ -113,12 +101,9 @@ class Analysis:
         return is_tree_of_droms(self.graph, self.chordality)
 
     def homology(self, ring: str) -> HomologyGroups:
-        """Reduced homology of the core complex, padded with zero groups up to ``dim``."""
         tag = normalize_ring(ring)
         if tag not in self._homology:
-            groups = reduced_homology(self._core_complex, tag).groups
-            groups += ((0, ()),) * (self.dim + 1 - len(groups))
-            self._homology[tag] = HomologyGroups(tag, groups)
+            self._homology[tag] = reduced_homology(self.complex, tag)
         return self._homology[tag]
 
     def acyclic(self, ring: str) -> bool:
@@ -718,14 +703,13 @@ def invariant_report(
     tags = list(dict.fromkeys(normalize_ring(ring) for ring in rings))
     connected = is_connected(g)
     v, e = g.n, g.edge_count
-    c = a.complex  # first, so that the core complex is cut from it
-    cd = c.dim + 1
+    cd = a.dim + 1
     ring_reports = []
     for tag in tags:
         hom = a.homology(tag)
         one_acyclic = connected and not (hom.free_rank(1) or hom.torsion(1))
         b2_bb = e - v + 1 if one_acyclic else None
-        omega_bb = _omega_raw(v - 1, b2_bb, c.dim) if b2_bb is not None else None
+        omega_bb = _omega_raw(v - 1, b2_bb, a.dim) if b2_bb is not None else None
         ring_reports.append(
             RingReport(
                 tag, fp_type(a, tag), b2_bb, omega_bb, finitely_presented_lie(a, tag), hom
@@ -746,7 +730,7 @@ def invariant_report(
         v=v,
         e=e,
         connected=connected,
-        flag_dim=c.dim,
+        flag_dim=a.dim,
         cd_raag=cd,
         b1_raag=v,
         b2_raag=e,

@@ -1,6 +1,5 @@
 import json
 import os
-import time
 
 import pytest
 
@@ -151,9 +150,7 @@ def test_clique_budget_exit_4(capsys, command):
     from bbraag.formats import format_graph6
     from bbraag.patterns import complete_graph
 
-    start = time.perf_counter()
     code, out, err = run(capsys, command, "--graph6", format_graph6(complete_graph(24)))
-    assert time.perf_counter() - start < 10
     assert code == 4 and out == ""
     assert "capacity error: more than" in err
 

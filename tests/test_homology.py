@@ -577,13 +577,10 @@ def test_core_homology_matches_full_complex_reference_v7():
     for g in small_graphs():
         c = flag_complex(g)
         reference = {ring: reference_homology(c, ring) for ring in RINGS}
-        a = Analysis(g)  # builds the core's flag complex
-        cut = Analysis(g)  # cuts the core complex from the full one
-        assert cut.complex == c
+        a = Analysis(g)
         for ring in RINGS:
             assert reduced_homology(c, ring).groups == reference[ring], (g, ring)
             assert a.homology(ring).groups == reference[ring], (g, ring)
-            assert cut.homology(ring).groups == reference[ring], (g, ring)
         # the empty complex has nonzero reduced homology in degree -1
         acyclic = g.n > 0 and all(group == (0, ()) for group in reference["Z"])
         assert acyclic_over_z_fast(flag_complex(g)) == acyclic, g
