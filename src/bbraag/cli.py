@@ -174,8 +174,6 @@ def _rings_of(args) -> tuple[str, ...]:
 
 def cmd_report(args) -> int:
     g = _load_graph(args)
-    if args.max_degree < 2:
-        raise DomainError("--max-degree must be at least 2")
     report = invariant_report(g, rings=_rings_of(args), degree_bound=args.max_degree)
     payload = {"report": report.to_json()}
     r = report

@@ -194,6 +194,11 @@ def _pred_omega_identity(a: Analysis, ring: str) -> tuple[bool, bool]:
 
 
 def _pred_hilbert_consistency(a: Analysis, ring: str) -> tuple[bool, bool]:
+    """The Koszul Hilbert identity on chordal graphs, whose flag complexes are acyclic.
+
+    With h_A read off the Betti numbers the identity follows from the face
+    counts; the tests recheck it with h_A from the oracle in ``tests/oracles.py``.
+    """
     if not a.chordality.chordal:
         return False, True
     check = koszul_hilbert_check(a, 12, ring if ring != "Z" else "Q")

@@ -31,6 +31,8 @@ from .graphs import Graph, _bits, _mask, clique_masks
 IntegerMatrix = list[list[int]]
 
 DEFAULT_ENTRY_LIMIT = 10**100
+# Most faces in one dimension of a core whose homology is computed (ranks are cubic).
+HOMOLOGY_FACE_LIMIT = 400
 
 
 # -- rings ---------------------------------------------------------------------
@@ -499,12 +501,16 @@ def reduced_homology(c: SimplicialComplex, ring: str) -> HomologyGroups:
     """Reduced homology of ``c``, computed on its strong-collapse core.
 
     The core has the homotopy type of ``c`` but may have lower dimension, so
-    the degrees above it are padded with zero groups up to ``c.dim``.
+    the degrees above it are padded with zero groups up to ``c.dim``.  A core
+    with more than :data:`HOMOLOGY_FACE_LIMIT` faces in one dimension raises
+    CapacityError before any boundary matrix is built.
     """
     tag = normalize_ring(ring)
     full_dim = c.dim
     c = c.core
     dim = c.dim
+    if any(len(fs) > HOMOLOGY_FACE_LIMIT for fs in c.faces):
+        raise CapacityError(f"core has more than {HOMOLOGY_FACE_LIMIT} faces in a dimension")
     ranks = []
     torsions: list[tuple[int, ...]] = [()] * (dim + 2)
     for d in range(dim + 1):

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-from .errors import DomainError, NotSupportedError
+from .errors import CapacityError, DomainError, NotSupportedError
 from .formats import format_graph6
 from .graphs import (
     Dismantling,
     Graph,
-    _mask,
     blocks_at,
     central_vertices,
     clique_euler,
@@ -43,7 +42,6 @@ from .homology import (
     flag_complex,
     is_field,
     normalize_ring,
-    rank_over_field,
     reduced_homology,
 )
 from .recognition import (
@@ -73,7 +71,6 @@ class Analysis:
     def __init__(self, g: Graph):
         self.graph = g
         self._homology: dict[str, HomologyGroups] = {}
-        self._cohomology: dict[str, CohomologyQuotient] = {}
 
     @cached_property
     def complex(self) -> SimplicialComplex:
@@ -123,12 +120,6 @@ class Analysis:
     @cached_property
     def _core_euler(self) -> int:
         return clique_euler(self.graph.adj, self.core.alive)
-
-    def cohomology(self, ring: str) -> CohomologyQuotient:
-        tag = normalize_ring(ring)
-        if tag not in self._cohomology:
-            self._cohomology[tag] = _cohomology_quotient(self, tag)
-        return self._cohomology[tag]
 
 
 GraphOrAnalysis = Union[Graph, Analysis]
@@ -503,7 +494,8 @@ class CohomologyQuotient:
     """Graded dimensions of the exterior face algebra modulo the length character.
 
     Degree-i basis: the i-cliques; the quotient divides out the ideal generated
-    by the sum of all vertices.  When the flag complex is acyclic over the
+    by the sum of all vertices, and :func:`bb_cohomology_dimensions` reads the
+    dimensions off the Betti numbers.  When the flag complex is acyclic over the
     field these are the cohomology dimensions of the Bestvina-Brady object and
     the algebra is Koszul; otherwise they are reported as plain linear algebra.
     """
@@ -516,42 +508,31 @@ class CohomologyQuotient:
         return {"ring": self.ring, "dims": list(self.dims), "koszul": self.koszul}
 
 
-def _chi_matrix(g: Graph, cliques, size: int) -> list[list[int]]:
-    """Left multiplication by the vertex sum, degree size-1 -> size."""
-    source = cliques[size - 1]
-    target = {f: i for i, f in enumerate(cliques[size])}
-    mat = [[0] * len(source) for _ in target]
-    for col, s in enumerate(source):
-        smask = _mask(s)
-        for v in range(g.n):
-            if (smask >> v) & 1:
-                continue
-            if (g.adj[v] & smask) != smask:
-                continue
-            bigger = tuple(sorted(s + (v,)))
-            sign = (-1) ** sum(1 for x in s if x < v)
-            mat[target[bigger]][col] = sign
-    return mat
-
-
 def bb_cohomology_dimensions(g: GraphOrAnalysis, ring: str = "Q") -> CohomologyQuotient:
-    """dim of each graded piece: (#i-cliques) - rank of the character multiplication."""
-    return _analysis(g).cohomology(ring)
+    """dim of each graded piece, read off the face counts and reduced Betti numbers.
 
-
-def _cohomology_quotient(a: Analysis, tag: str) -> CohomologyQuotient:
+    Multiplication by the vertex sum from degree d to d + 1 is the transpose of
+    the augmented boundary r_d from d-faces to (d-1)-faces, signs included (the
+    Aomoto complex of the exterior face ring; Papadima-Suciu 2007).  So over a
+    field the piece is f_d - rank r_d, with f_d the d-face count, rank r_0 = 1
+    and rank r_{d+1} = f_d - rank r_d - b_d for the reduced Betti number b_d.
+    """
+    tag = normalize_ring(ring)
     if not is_field(tag):
         raise DomainError("bb_cohomology_dimensions needs a field (Q or Fp:<p>)")
-    cliques = ((),), *a.complex.faces
-    dims = [1]
-    for size in range(1, len(cliques)):
-        rank = rank_over_field(_chi_matrix(a.graph, cliques, size), tag)
-        dims.append(len(cliques[size]) - rank)
-    acyclic = a.graph.n > 0 and a.acyclic(tag)
-    return CohomologyQuotient(tag, tuple(dims), True if acyclic else None)
+    a = _analysis(g)
+    hom = a.homology(tag)
+    dims, rank = [1], 1
+    for d, faces in enumerate(a.complex.faces):
+        dims.append(len(faces) - rank)
+        rank = len(faces) - rank - hom.free_rank(d)
+    return CohomologyQuotient(tag, tuple(dims), True if a.acyclic(tag) else None)
 
 
 # -- Koszul Hilbert-series consistency -----------------------------------------------------
+
+# Largest Hilbert-series truncation degree; the series products are quadratic in it.
+HILBERT_DEGREE_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -586,10 +567,14 @@ def koszul_hilbert_check(
     off the length character divides by 1/(1 - t).  h_A comes from
     :func:`bb_cohomology_dimensions`.  Needs a connected graph whose flag
     complex is acyclic over the field, which is what makes the Bestvina-Brady
-    object Koszul and the identity exact.
+    object Koszul and the identity exact; with h_A read off the Betti numbers
+    it then follows from the face counts, so the tests recheck it against an
+    independent rank.  Bounds above :data:`HILBERT_DEGREE_LIMIT` raise CapacityError.
     """
     if degree_bound < 2:
         raise DomainError("degree bound must be at least 2")
+    if degree_bound > HILBERT_DEGREE_LIMIT:
+        raise CapacityError(f"degree bound may not exceed {HILBERT_DEGREE_LIMIT}")
     tag = normalize_ring(ring)
     if not is_field(tag):
         raise DomainError("koszul_hilbert_check needs a field")
@@ -701,6 +686,9 @@ def invariant_report(
     a = _analysis(g)
     g = a.graph
     tags = list(dict.fromkeys(normalize_ring(ring) for ring in rings))
+    field_tag = next((t for t in tags if t != "Z"), "Q")
+    # first, so that a degree bound out of range stops the report before other work
+    hilbert = koszul_hilbert_check(a, degree_bound, field_tag)
     connected = is_connected(g)
     v, e = g.n, g.edge_count
     cd = a.dim + 1
@@ -724,7 +712,6 @@ def invariant_report(
             structure_error = str(exc)
     else:
         structure_error = "graph not connected"
-    field_tag = next((t for t in tags if t != "Z"), "Q")
     return InvariantReport(
         graph6=format_graph6(g),
         v=v,
@@ -746,6 +733,6 @@ def invariant_report(
         structure_error=structure_error,
         omega_identity=omega_identity_check(a, field_tag),
         inequalities=inequality_checks(a),
-        hilbert=koszul_hilbert_check(a, degree_bound, field_tag),
+        hilbert=hilbert,
         cohomology=bb_cohomology_dimensions(a, field_tag),
     )

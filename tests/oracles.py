@@ -5,9 +5,10 @@ permutation-based isomorphism, labeled brute-force graph counting, Fraction
 Gaussian elimination for homology, gcd-of-minors for invariant factors,
 homology of the full complex with no core reduction, vertex domination read
 off the faces, a from-scratch graph6 reader, generation by extending every
-class and deduplicating through one set per order, and greedy collapse by
-rescanning every face at each step.  Keep these free of bbraag
-internals beyond the public Graph accessors.
+class and deduplicating through one set per order, greedy collapse by
+rescanning every face at each step, and the graded dimensions of the
+exterior face ring modulo the vertex sum from ranks in the clique basis.
+Keep these free of bbraag internals beyond the public Graph accessors.
 """
 
 from fractions import Fraction
@@ -196,6 +197,57 @@ def reference_homology(complex_, ring):
         (complex_.face_count(i) - ranks[i] - ranks[i + 1], torsions[i + 1])
         for i in range(dim + 1)
     )
+
+
+def chi_matrix(g: Graph, cliques, size: int):
+    """Left multiplication by the vertex sum, from the (size-1)-cliques to the size-cliques.
+
+    ``cliques[k]`` lists the k-cliques as sorted vertex-index tuples; wedging
+    vertex v onto a clique s is signed by the number of vertices of s below v.
+    """
+    target = {f: i for i, f in enumerate(cliques[size])}
+    mat = [[0] * len(cliques[size - 1]) for _ in target]
+    for col, s in enumerate(cliques[size - 1]):
+        for v in range(g.n):
+            if v in s or not all((g.adj[v] >> x) & 1 for x in s):
+                continue
+            sign = (-1) ** sum(1 for x in s if x < v)
+            mat[target[tuple(sorted(s + (v,)))]][col] = sign
+    return mat
+
+
+def chi_quotient_dims(g: Graph, ring) -> list[int]:
+    """Graded dimensions of the exterior face ring modulo the vertex sum, over Q or Fp:<p>.
+
+    Degree k has the k-cliques, grown one vertex at a time from the empty
+    clique, as basis; its dimension is the clique count minus the rank of
+    :func:`chi_matrix` into it, by :func:`fraction_rank` or :func:`modular_rank`.
+    """
+    cliques = [[()]]
+    while True:
+        bigger = sorted({
+            tuple(sorted(s + (v,)))
+            for s in cliques[-1]
+            for v in range(g.n)
+            if v not in s and all((g.adj[v] >> x) & 1 for x in s)
+        })
+        if not bigger:
+            break
+        cliques.append(bigger)
+    dims = [1]
+    for size in range(1, len(cliques)):
+        mat = chi_matrix(g, cliques, size)
+        rank = fraction_rank(mat) if ring == "Q" else modular_rank(mat, int(ring[3:]))
+        dims.append(len(cliques[size]) - rank)
+    return dims
+
+
+def hilbert_product(dims, h_u) -> list[int]:
+    """Coefficients of h_A(-t) * h_U(t) up to the length of ``h_u``, with h_A from ``dims``."""
+    return [
+        sum((-1) ** j * dims[j] * h_u[k - j] for j in range(min(k + 1, len(dims))))
+        for k in range(len(h_u))
+    ]
 
 
 def dominates(faces, u, v) -> bool:

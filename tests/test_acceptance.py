@@ -33,7 +33,7 @@ from bbraag.recognition import (
 )
 from bbraag.enumeration import connected_graphs, scan_dim_bound
 
-from oracles import rational_reduced_betti
+from oracles import chi_quotient_dims, hilbert_product, rational_reduced_betti
 
 
 def _verdict(num: int, description: str, violations: list):
@@ -211,7 +211,9 @@ def test_acceptance_08_hilbert_consistency_chordal_v6():
                 continue
             total += 1
             res = koszul_hilbert_check(g, 12, "Q")
-            if not (res.applicable and res.passed):
+            # the identity again with h_A from the chi-oracle, not the Betti numbers
+            product = hilbert_product(chi_quotient_dims(g, "Q"), res.enveloping_series)
+            if not (res.applicable and res.passed and product == [1] + [0] * 12):
                 violations.append(format_graph6(g))
     _verdict(
         8,

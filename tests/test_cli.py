@@ -193,6 +193,39 @@ def test_max_degree_validation(capsys):
     assert code == 3
 
 
+def test_max_degree_bound_exit_4(capsys, monkeypatch):
+    import bbraag.invariants
+    from bbraag.invariants import HILBERT_DEGREE_LIMIT
+
+    def no_homology(*args):
+        raise AssertionError("homology computed before the degree bound was checked")
+
+    over = str(HILBERT_DEGREE_LIMIT + 1)
+    with monkeypatch.context() as m:
+        m.setattr(bbraag.invariants, "reduced_homology", no_homology)
+        code, out, err = run(capsys, "report", "--graph6", "Bw", "--max-degree", over)
+    assert code == 4 and out == ""
+    assert "capacity error: degree bound" in err
+    limit = str(HILBERT_DEGREE_LIMIT)
+    code, out, _ = run(
+        capsys, "report", "--graph6", "Bw", "--max-degree", limit, "--format", "json"
+    )
+    assert code == 0
+    hilbert = json.loads(out)["report"]["hilbert"]
+    assert hilbert["passed"] and hilbert["degree_bound"] == HILBERT_DEGREE_LIMIT
+
+
+def test_homology_face_limit_exit_4(capsys):
+    from bbraag.formats import format_graph6
+    from bbraag.homology import HOMOLOGY_FACE_LIMIT
+    from bbraag.patterns import cycle_graph
+
+    g6 = format_graph6(cycle_graph(HOMOLOGY_FACE_LIMIT + 1))
+    code, out, err = run(capsys, "homology", "--graph6", g6)
+    assert code == 4 and out == ""
+    assert "capacity error: core has more than" in err
+
+
 def test_homology_empty_graph(capsys):
     code, out, _ = run(capsys, "homology", "--graph6", "?")
     assert code == 0

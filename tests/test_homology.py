@@ -7,6 +7,7 @@ import pytest
 from bbraag.errors import CapacityError, DomainError
 from bbraag.graphs import Graph, central_vertices, clique_euler, dismantle, is_connected
 from bbraag.homology import (
+    HOMOLOGY_FACE_LIMIT,
     SimplicialComplex,
     acyclic_over_z_fast,
     boundary_matrix,
@@ -174,6 +175,23 @@ def test_snf_properties_random():
 def test_snf_entry_limit():
     with pytest.raises(CapacityError):
         smith_normal_form([[10**6, 1], [1, 10**6]], entry_limit=10**3)
+
+
+def test_homology_face_limit(monkeypatch):
+    import bbraag.homology
+
+    # a cycle has no dominated vertex, so its core keeps every vertex and edge
+    assert Analysis(cycle_graph(HOMOLOGY_FACE_LIMIT)).homology("Fp:2").free_rank(1) == 1
+
+    def no_matrix(*args):
+        raise AssertionError("boundary built past the face limit")
+
+    monkeypatch.setattr(bbraag.homology, "boundary_matrix", no_matrix)
+    monkeypatch.setattr(bbraag.homology, "_boundary_bits", no_matrix)
+    big = Analysis(cycle_graph(HOMOLOGY_FACE_LIMIT + 1))
+    for ring in ("Z", "Q", "Fp:2", "Fp:3"):
+        with pytest.raises(CapacityError):
+            big.homology(ring)
 
 
 def test_rank_over_field_matches_fraction_oracle():

@@ -34,7 +34,8 @@ from bbraag.patterns import (
 from bbraag.recognition import is_chordal, is_droms
 from bbraag.enumeration import connected_graphs
 
-from oracles import fraction_rank
+from oracles import chi_quotient_dims, fraction_rank, hilbert_product
+from test_homology import projective_plane_poset_graph, small_graphs
 
 
 # -- fp type -----------------------------------------------------------------------
@@ -298,6 +299,23 @@ def test_cohomology_dims_against_exterior_oracle():
         assert dims == oracle, g.edges()
 
 
+def assert_dims_match_chi_oracle(graphs):
+    for g in graphs:
+        for ring in ("Q", "Fp:2", "Fp:3"):
+            dims = bb_cohomology_dimensions(g, ring).dims
+            assert list(dims) == chi_quotient_dims(g, ring), (g, ring)
+
+
+def test_cohomology_dims_match_chi_oracle():
+    # the barycentric projective plane has 2-torsion, so its F_2 Betti numbers differ
+    assert_dims_match_chi_oracle(small_graphs() + [projective_plane_poset_graph()])
+
+
+@pytest.mark.slow
+def test_cohomology_dims_match_chi_oracle_v8():
+    assert_dims_match_chi_oracle(connected_graphs(8))
+
+
 def test_dim_one_is_v_minus_one():
     for n in range(1, 7):
         for g in connected_graphs(n):
@@ -305,7 +323,8 @@ def test_dim_one_is_v_minus_one():
 
 
 def test_b2_matches_quotient_degree_two():
-    # two independent code paths: e - v + 1 vs the character-multiplication rank
+    # e - v + 1 against the library and against the chi-oracle's clique-basis rank;
+    # the library reads dims off the Betti numbers, so only the oracle is a second route
     for n in range(1, 7):
         for g in connected_graphs(n):
             from bbraag.homology import flag_complex, reduced_homology
@@ -313,9 +332,9 @@ def test_b2_matches_quotient_degree_two():
             hom = reduced_homology(flag_complex(g), "Q")
             if hom.free_rank(1):
                 continue
-            dims = bb_cohomology_dimensions(g).dims
-            a2 = dims[2] if len(dims) > 2 else 0
-            assert a2 == g.edge_count - g.n + 1
+            for dims in (bb_cohomology_dimensions(g).dims, chi_quotient_dims(g, "Q")):
+                a2 = dims[2] if len(dims) > 2 else 0
+                assert a2 == g.edge_count - g.n + 1
 
 
 # -- Hilbert series ---------------------------------------------------------------------------
@@ -340,6 +359,9 @@ def test_hilbert_chordal_small():
             if is_chordal(g).chordal:
                 res = koszul_hilbert_check(g, 12)
                 assert res.applicable and res.passed
+                # h_A from the chi-oracle, not from the Betti numbers
+                product = hilbert_product(chi_quotient_dims(g, "Q"), res.enveloping_series)
+                assert product == [1] + [0] * 12, g
 
 
 # -- three-valued finite presentation ---------------------------------------------------------
