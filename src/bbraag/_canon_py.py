@@ -20,8 +20,25 @@ def canon_key(n: int, adj) -> int:
     ``adj`` is a sequence of ``n`` neighbor bitmasks.  Two graphs get equal
     keys iff they are isomorphic.
     """
+    return _search(n, adj)[0]
+
+
+def automorphism_generators(n: int, adj) -> list[tuple[int, ...]]:
+    """Automorphisms of ``adj`` that generate its whole automorphism group.
+
+    Each is a tuple ``a`` with ``a[v]`` the image of vertex ``v``; none is
+    the identity, and the list is empty when the group is trivial.  The search
+    meets every automorphism as a leaf with the best key, either explored or
+    inside a subtree pruned as the image of an explored one under the
+    automorphisms already found, so the found ones generate the group.
+    """
+    return _search(n, adj)[1]
+
+
+def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
+    """The canonical key and the automorphisms found at equal-key leaves."""
     if n <= 1:
-        return 0
+        return 0, []
     adj = tuple(adj)
 
     state = {"best": None, "perm": None}
@@ -119,4 +136,4 @@ def canon_key(n: int, adj) -> int:
             prefix.pop()
 
     search([tuple(range(n))])
-    return state["best"]
+    return state["best"], autos

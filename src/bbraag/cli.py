@@ -17,7 +17,7 @@ from .errors import CapacityError, DomainError, GraphParseError, NotSupportedErr
 from .formats import FORMATS, format_graph6, parse_graph
 from .graphs import Graph
 from .invariants import Analysis, bb_structure_graph, finitely_presented_group, invariant_report
-from .recognition import is_droms, is_ptolemaic
+from .recognition import check_recognition_size, is_droms, is_ptolemaic
 
 SCHEMA_VERSION = 1
 
@@ -146,6 +146,7 @@ def _json_or_none(x):
 
 def cmd_classify(args) -> int:
     g = _load_graph(args)
+    check_recognition_size(g)
     a = Analysis(g)
     # (class, result, certificate field); the verdict field is named after the class
     verdicts = (
@@ -265,6 +266,7 @@ def cmd_homology(args) -> int:
 
 def cmd_structure(args) -> int:
     g = _load_graph(args)
+    check_recognition_size(g)
     structure = bb_structure_graph(g)
     payload = {
         "graph": _graph_json(g),

@@ -9,9 +9,21 @@ canonical key.  Each (n-1)-vertex representative is extended by a new vertex
 v over every nonempty neighbourhood, and a child is kept only when v is in T
 and no w in T gives a smaller key than the parent's.  The rule reads only the
 isomorphism class of C, so every connected n-vertex graph has exactly one
-parent class; children of one parent that its automorphisms make equal meet
-in a set local to that parent, and no set spans parents.  Streams are
-ordered by canonical graph6 bytes, so scans are reproducible and
+parent class, and no set spans parents.
+
+Two prunings skip work whose result is already known.  An automorphism of
+the parent extends to an isomorphism of the children over S and its image
+that fixes v, so both get the same verdict and the same key: the
+neighbourhoods are walked in ascending order and each orbit of the group
+generated by the parent's automorphism generators is processed once, at its
+smallest member (this holds for any subgroup too).  And a rival w that is a
+twin of v in the child (equal neighbourhoods apart from each other) is never
+tested: the swap of v and w is an automorphism of the child, so C - w is
+isomorphic to C - v, the parent, and cannot have a smaller key.  The few
+children of one parent that are isomorphic without being in one orbit still
+meet in a set local to that parent.
+
+Streams are ordered by canonical graph6 bytes, so scans are reproducible and
 order-independent; a scan can fan out over a worker pool because its counts
 merge associatively and the failing list is sorted at the end.  Each
 predicate receives one :class:`~bbraag.invariants.Analysis` per graph, the
@@ -25,7 +37,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import _g6, kernel
+from . import _canon_py, _g6, kernel
 from .errors import CapacityError, DomainError
 from .graphs import Graph, _bits, _component_masks, blocks_at, cut_vertices, is_connected
 from .homology import normalize_ring
@@ -71,17 +83,33 @@ def _canonical_children(parent: bytes) -> list[bytes]:
                 above[k] |= 1 << u
             level[deg[u]] |= 1 << u
     vertex = 1 << m
+    images = [_subset_images(a, vertex) for a in _canon_py.automorphism_generators(m, adj)]
+    seen = bytearray(vertex)
     kept: set[int] = set()
     for s in range(1, vertex):
         k = s.bit_count()
-        if k > 1 and (above[k] or s & level[k]):
+        if seen[s] or k > 1 and (above[k] or s & level[k]):
             continue
+        # An automorphism of the parent, extended to fix v, maps the child
+        # over S onto the child over its image: same verdict, same key.
+        orbit = [s]
+        seen[s] = 1
+        for t in orbit:
+            for img in images:
+                if not seen[img[t]]:
+                    seen[img[t]] = 1
+                    orbit.append(img[t])
         rivals = _deletion_rivals(s, deg, nbrs, parts)
         if rivals is None:
             continue
         grown = [a | vertex if s >> u & 1 else a for u, a in enumerate(adj)]
         grown.append(s)
-        if any(kernel.canon_key(m, _delete(grown, w)) < parent_key for w in rivals):
+        # A twin w of v in the child gives C - w ≅ C - v, the parent itself.
+        if any(
+            grown[w] & ~vertex != s & ~(1 << w)
+            and kernel.canon_key(m, _delete(grown, w)) < parent_key
+            for w in rivals
+        ):
             continue
         kept.add(kernel.canon_key(m + 1, grown))
     return [_g6.encode(m + 1, key) for key in kept]
@@ -107,6 +135,15 @@ def _deletion_rivals(s: int, deg, nbrs, parts) -> list[int] | None:
         if theirs == own:
             rivals.append(u)
     return rivals
+
+
+def _subset_images(perm: tuple[int, ...], size: int) -> list[int]:
+    """``img[t]`` is the vertex subset ``t`` (a bitmask below ``size``) mapped by ``perm``."""
+    img = [0] * size
+    for t in range(1, size):
+        low = t & -t
+        img[t] = img[t ^ low] | 1 << perm[low.bit_length() - 1]
+    return img
 
 
 def _delete(adj: list[int], w: int) -> list[int]:

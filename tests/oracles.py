@@ -5,7 +5,8 @@ permutation-based isomorphism, labeled brute-force graph counting, Fraction
 Gaussian elimination for homology, gcd-of-minors for invariant factors,
 homology of the full complex with no core reduction, vertex domination read
 off the faces, a from-scratch graph6 reader, generation by extending every
-class and deduplicating through one set per order, greedy collapse by
+class and deduplicating through one set per order, automorphism groups and
+their orbits on vertex subsets from all n! permutations, greedy collapse by
 rescanning every face at each step, and the graded dimensions of the
 exterior face ring modulo the vertex sum from ranks in the clique basis.
 Keep these free of bbraag internals beyond the public Graph accessors.
@@ -276,6 +277,47 @@ def seen_set_canonical_reps(max_n, canon_key):
                 seen.add(_g6.encode(n, canon_key(n, grown)))
         reps[n] = sorted(seen)
     return reps
+
+
+def brute_automorphisms(n, adj) -> list[tuple[int, ...]]:
+    """Every permutation p of 0..n-1 (p[v] the image of v) that preserves ``adj``."""
+    return [
+        p
+        for p in permutations(range(n))
+        if all(((adj[i] >> j) & 1) == ((adj[p[i]] >> p[j]) & 1) for i in range(n) for j in range(i))
+    ]
+
+
+def subset_orbits(n, perms, closed=False) -> set[frozenset]:
+    """Orbits on the vertex subsets 0 < t < 2^n of the group the permutations generate.
+
+    With ``closed`` the permutations are the whole group and each orbit is
+    read off directly; otherwise an orbit is closed under the generators by
+    breadth-first search.  Subsets are mapped bit by bit.
+    """
+
+    def image(p, t):
+        return sum(1 << p[i] for i in range(n) if t >> i & 1)
+
+    orbits = set()
+    placed = set()
+    for t in range(1, 1 << n):
+        if t in placed:
+            continue
+        if closed:
+            orbit = {image(p, t) for p in perms}
+        else:
+            orbit, frontier = {t}, [t]
+            while frontier:
+                u = frontier.pop()
+                for p in perms:
+                    w = image(p, u)
+                    if w not in orbit:
+                        orbit.add(w)
+                        frontier.append(w)
+        placed |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
 
 
 def _proper_submasks(mask):

@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from bbraag import kernel
-from bbraag.graphs import Graph, canonical_form
-from bbraag.patterns import complete_graph, cycle_graph, path_graph
+from bbraag import _canon_py, _g6, kernel
+from bbraag.graphs import Graph, _bits, canonical_form
+from bbraag.patterns import complete_graph, cycle_graph, path_graph, star_graph
 
-from oracles import brute_isomorphic, labeled_graphs
+from oracles import (
+    brute_automorphisms,
+    brute_isomorphic,
+    labeled_graphs,
+    seen_set_canonical_reps,
+    subset_orbits,
+)
 
 
 def random_graph(rng, n):
@@ -93,3 +99,30 @@ def test_backends_match_reference(name, module_name):
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         assert module.canon_key(n, tuple(adj)) == _canon_py.canon_key(n, tuple(adj))
+
+
+def automorphism_cases():
+    """Every connected graph on at most 6 vertices, randomly relabeled, plus K_m, C_m and stars."""
+    rng = random.Random(5)
+    reps = seen_set_canonical_reps(6, _canon_py.canon_key)
+    for m in range(1, 7):
+        for key in reps[m]:
+            n, adj = _g6.decode(key)
+            p = list(range(n))
+            rng.shuffle(p)
+            relabeled = [0] * n
+            for i in range(n):
+                relabeled[p[i]] = sum(1 << p[j] for j in _bits(adj[i]))
+            yield n, relabeled
+        yield m, complete_graph(m).adj
+        yield m, star_graph(m - 1).adj
+        if m >= 3:
+            yield m, cycle_graph(m).adj
+
+
+def test_automorphism_generators_against_brute_force():
+    for n, adj in automorphism_cases():
+        group = brute_automorphisms(n, adj)
+        generators = _canon_py.automorphism_generators(n, adj)
+        assert set(generators) <= set(group) - {tuple(range(n))}
+        assert subset_orbits(n, generators) == subset_orbits(n, group, closed=True), (n, adj)

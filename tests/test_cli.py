@@ -238,6 +238,27 @@ def test_structure_single_vertex(capsys):
     assert "0 vertices" in out and "(none)" in out
 
 
+@pytest.mark.parametrize("command", ["classify", "structure"])
+def test_recognition_vertex_limit_exit_4(capsys, monkeypatch, command):
+    import bbraag.cli
+    from bbraag.formats import format_graph6
+    from bbraag.patterns import path_graph
+    from bbraag.recognition import RECOGNITION_VERTEX_LIMIT
+
+    code, _, _ = run(capsys, command, "--graph6", format_graph6(path_graph(RECOGNITION_VERTEX_LIMIT)))
+    assert code == 0
+
+    def no_recognition(g):
+        raise AssertionError("a recognizer ran before the vertex limit was checked")
+
+    monkeypatch.setattr(bbraag.cli, "Analysis", no_recognition)
+    monkeypatch.setattr(bbraag.cli, "bb_structure_graph", no_recognition)
+    g6 = format_graph6(path_graph(RECOGNITION_VERTEX_LIMIT + 1))
+    code, out, err = run(capsys, command, "--graph6", g6)
+    assert code == 4 and out == ""
+    assert "capacity error: recognition is bounded to" in err
+
+
 def test_scan_bad_ring_exit_3(capsys, monkeypatch):
     import bbraag.enumeration
 

@@ -58,7 +58,8 @@ def assert_canonical_and_connected(n, keys):
 
 
 def test_generation_kernel_budget_v8(monkeypatch):
-    # Extending every class over every neighbourhood takes 116,146 calls for n <= 8.
+    # Canonical deletion, pruned by parent orbits and twin rivals, takes
+    # 15,929 calls for n <= 8.
     calls = 0
     real = kernel.canon_key
 
@@ -70,11 +71,41 @@ def test_generation_kernel_budget_v8(monkeypatch):
     enumeration._reps_cache.clear()
     monkeypatch.setattr(kernel, "canon_key", counting)
     reps = {n: _canonical_reps(n) for n in range(1, 9)}
-    assert calls <= 30_000
+    assert calls <= 17_000
     monkeypatch.undo()
     assert [len(reps[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11_117]
     for n, keys in reps.items():
         assert_canonical_and_connected(n, keys)
+
+
+def test_subset_images_map_every_subset():
+    rng = random.Random(8)
+    for m in range(1, 9):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        img = enumeration._subset_images(tuple(perm), 1 << m)
+        assert img == [sum(1 << perm[i] for i in range(m) if t >> i & 1) for t in range(1 << m)]
+
+
+def test_no_rival_test_for_a_twin_of_v(monkeypatch):
+    # Deleting a twin w of the new vertex v leaves the parent itself, so its
+    # key is known; every rival test is one call of _delete.
+    deleted = []
+    real = enumeration._delete
+
+    def recording(adj, w):
+        deleted.append((adj, w))
+        return real(adj, w)
+
+    monkeypatch.setattr(enumeration, "_delete", recording)
+    for n in range(1, 7):
+        for key in _canonical_reps(n):
+            enumeration._canonical_children(key)
+    twins = [
+        (adj, w) for adj, w in deleted
+        if adj[w] & ~(1 << (len(adj) - 1)) == adj[-1] & ~(1 << w)
+    ]
+    assert len(deleted) > 100 and twins == []
 
 
 @pytest.mark.slow
