@@ -177,16 +177,43 @@ def is_connected(g: Graph) -> bool:
 
 
 def cut_vertices(g: Graph) -> list[str]:
-    """Vertices whose removal disconnects ``g``; requires ``g`` connected."""
+    """Vertices whose removal disconnects ``g``; requires ``g`` connected.
+
+    One depth-first search from vertex 0 with low-links (Hopcroft-Tarjan),
+    run on an explicit stack so that long paths do not recurse: a non-root v
+    is a cut vertex when some child's subtree reaches no vertex above v, the
+    root when it has two children.
+    """
     if not is_connected(g):
         raise DomainError("cut_vertices needs a connected graph")
-    full = (1 << g.n) - 1
-    out = []
-    for i in range(g.n):
-        rest = full & ~(1 << i)
-        if rest and len(_component_masks(g.n, g.adj, rest)) > 1:
-            out.append(g.labels[i])
-    return sorted(out)
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = clock = 0
+    stack = [(0, -1, g.adj[0])]  # vertex, its parent, neighbours not yet tried
+    cuts = set()
+    root_children = 0
+    while stack:
+        v, parent, todo = stack[-1]
+        if todo:
+            w = (todo & -todo).bit_length() - 1
+            stack[-1] = (v, parent, todo & (todo - 1))
+            if disc[w] < 0:
+                clock += 1
+                disc[w] = low[w] = clock
+                stack.append((w, v, g.adj[w]))
+            elif w != parent:
+                low[v] = min(low[v], disc[w])
+            continue
+        stack.pop()
+        if parent > 0:
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                cuts.add(parent)
+        elif parent == 0:
+            root_children += 1
+    if root_children > 1:
+        cuts.add(0)
+    return sorted(g.labels[i] for i in cuts)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ vertex order; boundary signs alternate over vertex deletions in that order.
 Reduced homology uses the augmented chain complex, so degree 0 counts
 components minus one and no degree is special-cased.  Homology in every ring
 is computed on the strong-collapse core of the complex (dominated vertices
-deleted, which keeps the homotopy type); integral homology then goes through
-Smith normal form with a deterministic pivot rule, field homology through
-exact rank computations (fraction-free over Q, modular over F_p, on packed
-bit rows over F_2).
+deleted, which keeps the homotopy type).  Each boundary of the core is
+eliminated once, over Z, into its invariant factors: sparse unit pivots
+first, then Smith normal form of what is left.  Every ring reads its ranks off
+those factors; over F_p the rank counts the factors p does not divide.
 
 The core here is read off the faces, so complexes that are not flag
 complexes reduce correctly.  For the flag complex of a graph the same core
@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .errors import CapacityError, DomainError
@@ -112,6 +113,14 @@ class SimplicialComplex:
     def strong_collapse(self) -> StrongCollapse:
         """Computed once per complex, so homology in every ring shares one core."""
         return _strong_collapse(self)
+
+    @cached_property
+    def boundary_factors(self) -> tuple[tuple[int, ...], ...]:
+        """Invariant factors of each boundary, degree 0 (the augmentation) to dim.
+
+        Computed once per complex, so every ring reads its ranks off one elimination.
+        """
+        return tuple(_elimination_factors(_boundary_entries(self, d)) for d in range(self.dim + 1))
 
     @property
     def core(self) -> SimplicialComplex:
@@ -247,14 +256,6 @@ def boundary_matrix(c: SimplicialComplex, d: int) -> IntegerMatrix:
     return mat
 
 
-def _boundary_bits(c: SimplicialComplex, d: int) -> list[int]:
-    """The degree-d boundary over F_2 as row bitmasks, for :func:`_rank_gf2`."""
-    rows = [0] * (c.face_count(d - 1) if d else 1)
-    for row, col, _ in _boundary_entries(c, d):
-        rows[row] |= 1 << col
-    return rows
-
-
 # -- exact linear algebra ---------------------------------------------------------
 
 
@@ -311,6 +312,15 @@ def smith_normal_form(
             for row in v:
                 row[j] -= q * row[k]
 
+    def swap_rows(i: int, k: int):
+        for mat in (a, u) if u is not None else (a,):
+            mat[i], mat[k] = mat[k], mat[i]
+
+    def swap_cols(j: int, k: int):
+        for mat in (a, v) if v is not None else (a,):
+            for row in mat:
+                row[j], row[k] = row[k], row[j]
+
     factors = []
     t = 0
     while True:
@@ -323,55 +333,28 @@ def smith_normal_form(
                     pivot, pmag = (i, j), abs(x)
         if pivot is None:
             break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
         while True:
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t] % a[t][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    a[t], a[i] = a[i], a[t]
-                    if u is not None:
-                        u[t], u[i] = u[i], u[t]
-                    restart = True
-                    break
-            if restart:
+            p = a[t][t]
+            # a nonzero remainder in the pivot's column or row becomes the smaller pivot
+            i = next((i for i in range(t + 1, m) if a[i][t] % p), None)
+            if i is not None:
+                row_sub(i, t, a[i][t] // p)
+                swap_rows(t, i)
                 continue
             for i in range(t + 1, m):
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-            for j in range(t + 1, n):
-                if a[t][j] % a[t][t]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    if v is not None:
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                    restart = True
-                    break
-            if restart:
+                    row_sub(i, t, a[i][t] // p)
+            j = next((j for j in range(t + 1, n) if a[t][j] % p), None)
+            if j is not None:
+                col_sub(j, t, a[t][j] // p)
+                swap_cols(t, j)
                 continue
             for j in range(t + 1, n):
                 if a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                    col_sub(j, t, a[t][j] // p)
+            offender = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
             if offender is None:
                 break
             for j in range(n):
@@ -396,76 +379,94 @@ def smith_normal_form(
 
 
 def rank_over_field(matrix: IntegerMatrix, ring: str) -> int:
-    """Exact rank over Q (fraction-free elimination) or F_p (modular)."""
+    """Exact rank over Q or F_p, read off the invariant factors of ``matrix``."""
     tag = normalize_ring(ring)
     if tag == "Z":
         raise DomainError("rank_over_field needs a field; use smith_normal_form over Z")
-    if tag == "Q":
-        return _rank_bareiss(matrix)
-    return _rank_mod_p(matrix, int(tag[3:]))
+    entries = ((i, j, x) for i, row in enumerate(matrix) for j, x in enumerate(row) if x)
+    return _rank(_elimination_factors(entries), tag)
 
 
-def _rank_bareiss(matrix: IntegerMatrix) -> int:
-    a = [row[:] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(n):
-        if rank >= m:
-            break
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pk = a[rank][col]
-        for i in range(rank + 1, m):
-            ai, ar = a[i], a[rank]
-            aic = ai[col]
-            for j in range(col + 1, n):
-                ai[j] = (pk * ai[j] - aic * ar[j]) // prev
-            ai[col] = 0
-        prev = pk
-        rank += 1
-    return rank
+def _rank(factors: tuple[int, ...], tag: str) -> int:
+    """Rank over ``tag`` of a matrix with these invariant factors.
+
+    Over Z and Q it is their number; over F_p it counts those p does not
+    divide, as U*M*V = D with U, V unimodular stays an equivalence mod p.
+    """
+    p = int(tag[3:]) if tag.startswith("Fp:") else 0
+    return sum(1 for f in factors if not p or f % p)
 
 
-def _rank_mod_p(matrix: IntegerMatrix, p: int) -> int:
-    a = [[x % p for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        if rank >= m:
-            break
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(rank + 1, m):
-            f = a[i][col]
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tuple[int, ...]:
+    """Invariant factors of the integer matrix with these (row, col, value) entries.
 
+    Unit pivots go first, sparsely: rows are dicts, each column keeps its set
+    of rows, and each pivot is a unit entry of lowest Markowitz cost
+    (|row| - 1) * (|col| - 1), found by searching rows and columns in order of
+    length (Duff-Reid).  Row operations clear the pivot's column; column
+    operations that change nothing else then clear its row, so it is struck
+    out with a factor 1.  The block left with no unit entry goes to
+    :func:`smith_normal_form`.  Entries beyond ``entry_limit`` raise
+    CapacityError in both phases.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for r, c, x in entries:
+        rows.setdefault(r, {})[c] = x
+        cols.setdefault(c, set()).add(r)
+    by_len: tuple[dict[int, set[int]], ...] = ({}, {})  # rows, then columns, by length
+    for lines, buckets in zip((rows, cols), by_len):
+        for i, line in lines.items():
+            buckets.setdefault(len(line), set()).add(i)
 
-def _rank_gf2(rows: list[int]) -> int:
-    """Rank over F_2 of rows packed as bitmasks."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for r in rows:
-        while r:
-            lead = r.bit_length()
-            other = pivots.get(lead)
-            if other is None:
-                pivots[lead] = r
-                rank += 1
-                break
-            r ^= other
-    return rank
+    def move(side: int, i: int, old: int, new: int):
+        by_len[side][old].discard(i)
+        if new:
+            by_len[side].setdefault(new, set()).add(i)
+
+    def unit_pivot() -> Optional[tuple[int, int]]:
+        best, pivot = len(rows) * len(cols), None
+        for k in sorted(by_len[0].keys() | by_len[1].keys()):
+            floor = (k - 1) ** 2  # no entry not yet seen has a row or a column shorter than k
+            for r, c in chain(((r, c) for c in by_len[1].get(k, ()) for r in cols[c]),
+                              ((r, c) for r in by_len[0].get(k, ()) for c in rows[r])):
+                cost = (len(rows[r]) - 1) * (len(cols[c]) - 1)
+                if cost < best and abs(rows[r][c]) == 1:
+                    best, pivot = cost, (r, c)
+                if best <= floor:
+                    return pivot
+        return pivot
+
+    units = 0
+    while (pivot := unit_pivot()) is not None:
+        pr, pc = pivot
+        prow, pcol = rows.pop(pr), cols.pop(pc)
+        move(0, pr, len(prow), 0)
+        move(1, pc, len(pcol), 0)
+        p = prow.pop(pc)
+        pcol.discard(pr)
+        touched = {c: len(cols[c]) for c in prow}
+        for r in pcol:
+            row = rows[r]
+            before = len(row)
+            q = row.pop(pc) * p  # row[pc] / p, as p is a unit
+            for c, y in prow.items():
+                x = row.pop(c, 0) - q * y
+                if abs(x) > entry_limit:
+                    raise CapacityError(f"SNF entry magnitude exceeded {entry_limit}")
+                if x:
+                    row[c] = x
+                    cols[c].add(r)
+                else:
+                    cols[c].discard(r)
+            move(0, r, before, len(row))
+        for c, length in touched.items():
+            cols[c].discard(pr)
+            move(1, c, length, len(cols[c]))
+        units += 1
+    keys = sorted(c for c, col in cols.items() if col)
+    rest = [[row.get(c, 0) for c in keys] for row in rows.values() if row]
+    return (1,) * units + smith_normal_form(rest, entry_limit=entry_limit).factors
 
 
 # -- homology ----------------------------------------------------------------------
@@ -511,22 +512,12 @@ def reduced_homology(c: SimplicialComplex, ring: str) -> HomologyGroups:
     dim = c.dim
     if any(len(fs) > HOMOLOGY_FACE_LIMIT for fs in c.faces):
         raise CapacityError(f"core has more than {HOMOLOGY_FACE_LIMIT} faces in a dimension")
-    ranks = []
-    torsions: list[tuple[int, ...]] = [()] * (dim + 2)
-    for d in range(dim + 1):
-        if tag == "Z":
-            snf = smith_normal_form(boundary_matrix(c, d))
-            ranks.append(snf.rank)
-            torsions[d] = tuple(f for f in snf.factors if f > 1)
-        elif tag == "Fp:2":
-            ranks.append(_rank_gf2(_boundary_bits(c, d)))
-        else:
-            ranks.append(rank_over_field(boundary_matrix(c, d), tag))
-    ranks.append(0)
+    factors = c.boundary_factors
+    ranks = [_rank(fs, tag) for fs in factors] + [0]
     groups = []
     for i in range(dim + 1):
-        free = c.face_count(i) - ranks[i] - ranks[i + 1]
-        groups.append((free, torsions[i + 1]))
+        torsion = tuple(f for f in factors[i + 1] if f > 1) if tag == "Z" and i < dim else ()
+        groups.append((c.face_count(i) - ranks[i] - ranks[i + 1], torsion))
     groups.extend([(0, ())] * (full_dim - dim))
     return HomologyGroups(tag, tuple(groups))
 
@@ -559,46 +550,47 @@ def collapse_to_point(c: SimplicialComplex) -> CollapseResult:
     COLLAPSIBLE certifies contractibility (hence simple connectivity); STUCK is
     inconclusive, so callers must not read it as a negative.  A face is free
     when exactly one face contains it, and that face is then f plus one
-    vertex.  Free faces wait in a heap in the order above; an entry whose face
-    has been removed or has lost its coface since is skipped when popped.
+    vertex.  Conversely a face f with one codimension-1 coface g is free: a
+    face above g would contain a second one.  So only those cofaces are
+    counted, with their XOR, which is g itself while the count is 1.  Free
+    faces wait in a heap in the order above; an entry whose face has been
+    removed or has lost its coface since is skipped when popped.
     """
-    over: dict[int, int] = {_mask(f): 0 for fs in c.faces for f in fs}
-    for g in list(over):
-        for sub in _proper_submasks(g):
-            if sub in over:
-                over[sub] += 1
-
-    def labels_of(mask: int):
-        return tuple(c.labels[i] for i in _bits(mask))
-
-    def entry(mask: int):
-        return (mask.bit_count(), labels_of(mask), mask)
-
-    heap = [entry(f) for f, count in over.items() if count == 1]
+    key = {
+        m: (len(f), tuple(map(c.labels.__getitem__, f)), m)
+        for fs in c.faces for f in fs for m in (_mask(f),)
+    }
+    up = dict.fromkeys(key, 0)
+    co = dict.fromkeys(key, 0)
+    for g in key:
+        for s in _codim1(g):
+            if s in up:
+                up[s] += 1
+                co[s] ^= g
+    heap = [key[f] for f, count in up.items() if count == 1]
     heapq.heapify(heap)
     sequence = []
     while heap:
         _, labels, f = heapq.heappop(heap)
-        if over.get(f) != 1:
+        if up.get(f) != 1:
             continue
-        coface = next(g for g in (f | 1 << v for v in range(len(c.labels))) if g != f and g in over)
+        coface = co[f]
         for removed in (f, coface):
-            del over[removed]
-            for sub in _proper_submasks(removed):
-                if sub in over:
-                    over[sub] -= 1
-                    if over[sub] == 1:
-                        heapq.heappush(heap, entry(sub))
-        sequence.append((labels, labels_of(coface)))
-    remaining = tuple(sorted((labels_of(f) for f in over), key=lambda t: (len(t), t)))
-    return CollapseResult(len(over) == 1, tuple(sequence), remaining)
+            del up[removed]
+            for s in _codim1(removed):
+                if s in up:
+                    up[s] -= 1
+                    co[s] ^= removed
+                    if up[s] == 1:
+                        heapq.heappush(heap, key[s])
+        sequence.append((labels, key[coface][1]))
+    remaining = tuple(key[f][1] for f in sorted(up, key=key.__getitem__))
+    return CollapseResult(len(up) == 1, tuple(sequence), remaining)
 
 
-def _proper_submasks(mask: int):
-    sub = (mask - 1) & mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
+def _codim1(mask: int) -> list[int]:
+    """The masks with one vertex of ``mask`` removed (0 for a vertex)."""
+    return [mask ^ (1 << i) for i in _bits(mask)]
 
 
 def acyclic_over_z_fast(c: SimplicialComplex) -> bool:

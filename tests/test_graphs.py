@@ -4,6 +4,7 @@ import pytest
 
 from bbraag.errors import CapacityError, DomainError
 import bbraag.graphs as graphs
+from bbraag.enumeration import connected_graphs
 from bbraag.graphs import (
     Graph,
     all_cliques,
@@ -83,24 +84,37 @@ def test_cut_vertices_examples():
 
 
 def test_cut_vertices_brute_force():
+    # the definition: G - v has more than one component.  Every connected graph
+    # with v <= 7, each also in reversed vertex order (the search starts at vertex 0),
+    # then seeded random graphs.
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [Graph(reversed(g.labels), g.edges()) for g in graphs]
     rng = random.Random(5)
     for _ in range(40):
-        n = rng.randint(2, 7)
+        n = rng.randint(2, 12)
         while True:
             edges = [
                 (str(i), str(j))
                 for i in range(n)
                 for j in range(i + 1, n)
-                if rng.random() < 0.5
+                if rng.random() < 0.3
             ]
             g = Graph([str(i) for i in range(n)], edges)
             if is_connected(g):
                 break
+        graphs.append(g)
+    for g in graphs:
         expect = [
             v for v in sorted(g.labels)
             if len(connected_components(g.without(v))) > 1
         ]
-        assert cut_vertices(g) == expect
+        assert cut_vertices(g) == expect, g
+
+
+def test_cut_vertices_long_path():
+    # one search on an explicit stack: a path far deeper than the recursion limit
+    n = 5000
+    assert cut_vertices(path_graph(n)) == sorted(str(i) for i in range(1, n - 1))
 
 
 def test_blocks_at():

@@ -9,6 +9,7 @@ from bbraag.graphs import Graph, central_vertices, clique_euler, dismantle, is_c
 from bbraag.homology import (
     HOMOLOGY_FACE_LIMIT,
     SimplicialComplex,
+    _elimination_factors,
     acyclic_over_z_fast,
     boundary_matrix,
     collapse_to_point,
@@ -26,7 +27,10 @@ from bbraag.invariants import Analysis
 from oracles import (
     dominates,
     fraction_rank,
+    integer_diagonal,
+    invariant_factors,
     minor_gcd,
+    modular_rank,
     rational_reduced_betti,
     reference_homology,
     rescanning_collapse,
@@ -183,15 +187,73 @@ def test_homology_face_limit(monkeypatch):
     # a cycle has no dominated vertex, so its core keeps every vertex and edge
     assert Analysis(cycle_graph(HOMOLOGY_FACE_LIMIT)).homology("Fp:2").free_rank(1) == 1
 
-    def no_matrix(*args):
+    def no_entries(*args):
         raise AssertionError("boundary built past the face limit")
 
-    monkeypatch.setattr(bbraag.homology, "boundary_matrix", no_matrix)
-    monkeypatch.setattr(bbraag.homology, "_boundary_bits", no_matrix)
+    # every ring's boundary comes from this one entry source
+    monkeypatch.setattr(bbraag.homology, "_boundary_entries", no_entries)
     big = Analysis(cycle_graph(HOMOLOGY_FACE_LIMIT + 1))
     for ring in ("Z", "Q", "Fp:2", "Fp:3"):
         with pytest.raises(CapacityError):
             big.homology(ring)
+
+
+def test_elimination_factors_against_oracles():
+    # with and without unit entries: the sparse phase, the dense rest, and both
+    rng = random.Random(43)
+    for trial in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        values = [v for v in range(-9, 10) if trial % 3 or abs(v) != 1]
+        mat = [[rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
+        entries = [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+        factors = _elimination_factors(entries)
+        assert factors == smith_normal_form(mat).factors, mat
+        assert list(factors) == invariant_factors(integer_diagonal(mat)), mat
+        prod = 1
+        for k, f in enumerate(factors, start=1):
+            prod *= f
+            if k <= 3:
+                assert prod == minor_gcd(mat, k), mat
+        for p in (2, 3):
+            assert rank_over_field(mat, f"Fp:{p}") == modular_rank(mat, p), mat
+
+
+def test_elimination_entry_limit_in_sparse_phase(monkeypatch):
+    import bbraag.homology
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the dense phase was reached")
+
+    monkeypatch.setattr(bbraag.homology, "smith_normal_form", no_dense)
+    # the unit pivot at (0, 0) turns the 1 at (1, 1) into 1 - 5 * 5 = -24
+    entries = [(0, 0, 1), (0, 1, 5), (1, 0, 5), (1, 1, 1)]
+    with pytest.raises(CapacityError):
+        _elimination_factors(entries, entry_limit=10)
+
+
+def test_four_rings_eliminate_each_boundary_once(monkeypatch):
+    import bbraag.homology
+
+    calls = []
+    real = bbraag.homology._elimination_factors
+
+    def counting(entries, *args):
+        entries = list(entries)
+        calls.append(len(entries))
+        return real(entries, *args)
+
+    monkeypatch.setattr(bbraag.homology, "_elimination_factors", counting)
+    for g in (projective_plane_poset_graph(), cycle_graph(7), complete_graph(6)):
+        c = flag_complex(g)
+        for ring in RINGS:
+            reduced_homology(c, ring)
+        assert len(calls) == c.core.dim + 1
+        calls.clear()
+        a = Analysis(g)
+        for ring in RINGS:
+            a.homology(ring)
+        assert len(calls) == c.core.dim + 1
+        calls.clear()
 
 
 def test_rank_over_field_matches_fraction_oracle():
@@ -389,11 +451,11 @@ def test_projective_plane_fp_type_depends_on_field():
     assert fp_type(g, "Z") == 1
 
 
-def test_gf2_bit_rows_match_modular_rank():
+def test_gf2_homology_matches_modular_rank():
     graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
     for g in graphs + [projective_plane_poset_graph()]:
         c = flag_complex(g)
-        ranks = [rank_over_field(boundary_matrix(c, d), "Fp:2") for d in range(c.dim + 1)]
+        ranks = [modular_rank(boundary_matrix(c, d), 2) for d in range(c.dim + 1)]
         ranks.append(0)
         betti = [c.face_count(i) - ranks[i] - ranks[i + 1] for i in range(c.dim + 1)]
         h = reduced_homology(c, "Fp:2")
@@ -605,11 +667,44 @@ def test_core_homology_matches_full_complex_reference_v7():
         assert Analysis(g).acyclic("Z") == a.acyclic("Z") == acyclic, g
 
 
+def assert_boundary_factors(c: SimplicialComplex):
+    """Each boundary's factors against the diagonal oracle, and its F_2 and F_3 ranks."""
+    for d, factors in enumerate(c.boundary_factors):
+        mat = boundary_matrix(c, d)
+        assert list(factors) == invariant_factors(integer_diagonal(mat)), d
+        for p in (2, 3):
+            assert sum(1 for f in factors if f % p) == modular_rank(mat, p), (d, p)
+
+
+def test_boundary_factors_against_oracle_v7():
+    # the full complexes, not their cores, so every boundary of every graph is eliminated
+    for g in [g for n in range(1, 8) for g in connected_graphs(n)]:
+        assert_boundary_factors(flag_complex(g))
+    rp2 = flag_complex(projective_plane_poset_graph())
+    assert_boundary_factors(rp2)
+    assert rp2.boundary_factors[2].count(2) == 1  # the torsion, so F_2 sees what Q does not
+
+
+def test_boundary_factors_on_large_random_cores():
+    sizes = []
+    for seed, n, percent in ((0, 28, 42), (1, 30, 40), (2, 26, 50)):
+        rng = random.Random(seed)
+        labels = [f"v{i}" for i in range(n)]
+        g = Graph(labels, [e for e in combinations(labels, 2) if rng.random() * 100 < percent])
+        core = flag_complex(g).core
+        assert_boundary_factors(core)
+        sizes.append(max(core.face_count(d) for d in range(core.dim + 1)))
+    assert all(150 <= k <= HOMOLOGY_FACE_LIMIT for k in sizes), sizes
+
+
 def test_collapse_matches_rescanning_oracle():
     complexes = [flag_complex(g) for n in range(1, 8) for g in connected_graphs(n)]
     complexes += [
         flag_complex(Graph([])),
         flag_complex(complete_graph(8)),
+        flag_complex(complete_graph(9)),
+        # K_{2,2,2,2,2}: the boundary of the 5-dimensional cross-polytope, S^4
+        flag_complex(Graph(range(10), [(a, b) for a, b in combinations(range(10), 2) if b - a != 5])),
         flag_complex(projective_plane_poset_graph()),
         complex_from_facets(["ab", "ac", "bc"]),
         complex_from_facets(RP2_FACETS),

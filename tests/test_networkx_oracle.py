@@ -1,9 +1,11 @@
-"""Chordality, maximal cliques and the graph atlas against networkx, where it is installed."""
+"""Chordality, maximal cliques, cut vertices and the graph atlas against networkx, where it is installed."""
+
+import random
 
 import pytest
 
 from bbraag.enumeration import connected_graph_count, connected_graphs
-from bbraag.graphs import Graph, canonical_form, maximal_clique_masks
+from bbraag.graphs import Graph, canonical_form, cut_vertices, maximal_clique_masks
 from bbraag.recognition import is_chordal
 
 nx = pytest.importorskip("networkx")
@@ -45,3 +47,21 @@ def test_graph_atlas_counts_and_canonical_forms_v7():
     for n in range(1, 8):
         assert len(connected[n]) == connected_graph_count(n)
         assert connected[n] == {canonical_form(g) for g in connected_graphs(n)}
+
+
+def test_cut_vertices_match_networkx():
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(20, 120)
+        labels = [f"v{i}" for i in range(n)]
+        rng.shuffle(labels)
+        # a random tree plus a few chords: many cut vertices, some blocks
+        edges = [(labels[i], labels[rng.randrange(i)]) for i in range(1, n)]
+        edges += [tuple(rng.sample(labels, 2)) for _ in range(n // 8)]
+        graphs.append(Graph(labels, {frozenset(e): e for e in edges}.values()))
+    for g in graphs:
+        ng = nx.Graph()
+        ng.add_nodes_from(g.labels)
+        ng.add_edges_from(g.edges())
+        assert cut_vertices(g) == sorted(nx.articulation_points(ng)), g
