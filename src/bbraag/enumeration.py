@@ -14,20 +14,33 @@ parent class, and no set spans parents.
 Two prunings skip work whose result is already known.  An automorphism of
 the parent extends to an isomorphism of the children over S and its image
 that fixes v, so both get the same verdict and the same key: the
-neighbourhoods are walked in ascending order and each orbit of the group
-generated by the parent's automorphism generators is processed once, at its
-smallest member (this holds for any subgroup too).  And a rival w that is a
-twin of v in the child (equal neighbourhoods apart from each other) is never
-tested: the swap of v and w is an automorphism of the child, so C - w is
-isomorphic to C - v, the parent, and cannot have a smaller key.  The few
-children of one parent that are isomorphic without being in one orbit still
-meet in a set local to that parent.
+neighbourhoods are walked in ascending order and each orbit of the parent's
+automorphism group is processed once, at its smallest member (the generators
+the canonical search finds generate the whole group, which the tie rule
+below needs).  And a rival w that is a twin of v
+in the child (equal neighbourhoods apart from each other) is never tested:
+the swap of v and w is an automorphism of the child, so C - w is isomorphic
+to C - v, the parent, and cannot have a smaller key.
 
-Streams are ordered by canonical graph6 bytes, so scans are reproducible and
-order-independent; a scan can fan out over a worker pool because its counts
-merge associatively and the failing list is sorted at the end.  Each
-predicate receives one :class:`~bbraag.invariants.Analysis` per graph, the
-context the report uses.
+A child needs its own canonical key only when it ties.  Suppose the accepted
+children C over S and C' over S' of one parent, from different orbits, are
+isomorphic by phi.  Then phi(v) != v', or phi restricted to the parent would be an
+automorphism taking S to S'.  So w' = phi(v) is in T(C'), a rival of v' with
+C' - w' isomorphic to the parent, and it is no twin of v': composing phi with
+the swap of v' and w' would fix v'.  The rival test of C' therefore meets a
+non-twin rival whose deletion has the parent's key, and by symmetry so does
+that of C.  A child with no such tie is the only one of its class; only tied
+children get a key, and only those keys meet in a set local to the parent.
+
+Key lists are ordered by canonical graph6 bytes.  A scan reads the orders
+below its bound from those lists and streams the top order: each parent's
+children are examined as labeled graphs and canonicalized only when they
+tie or fail, so the top order is never held and the v <= 8 scan makes 5,906
+kernel calls, where keying every child made 15,929.  Its counts merge
+associatively and the failing list is sorted, so the result does not depend
+on the order of the work, and a worker pool takes chunks of lower-order keys
+and chunks of parents.  Each predicate receives one
+:class:`~bbraag.invariants.Analysis` per graph, the context the report uses.
 """
 
 from __future__ import annotations
@@ -65,6 +78,15 @@ def _canonical_reps(n: int) -> list[bytes]:
 
 def _canonical_children(parent: bytes) -> list[bytes]:
     """Canonical keys of the classes, one vertex larger, whose canonical parent is ``parent``."""
+    return [key or _key_of(grown) for grown, key in _children(parent)]
+
+
+def _children(parent: bytes) -> Iterator[tuple[list[int], bytes | None]]:
+    """One labeled child per class whose canonical parent is ``parent``.
+
+    Yields the child's adjacency masks (the new vertex last) with its
+    canonical key when a rival tie made the key necessary, else None.
+    """
     m, adj = _g6.decode(parent)
     parent_key = _g6.key_from_adj(m, adj)
     deg = [a.bit_count() for a in adj]
@@ -85,7 +107,7 @@ def _canonical_children(parent: bytes) -> list[bytes]:
     vertex = 1 << m
     images = [_subset_images(a, vertex) for a in _canon_py.automorphism_generators(m, adj)]
     seen = bytearray(vertex)
-    kept: set[int] = set()
+    kept: set[bytes] = set()
     for s in range(1, vertex):
         k = s.bit_count()
         if seen[s] or k > 1 and (above[k] or s & level[k]):
@@ -104,15 +126,24 @@ def _canonical_children(parent: bytes) -> list[bytes]:
             continue
         grown = [a | vertex if s >> u & 1 else a for u, a in enumerate(adj)]
         grown.append(s)
-        # A twin w of v in the child gives C - w ≅ C - v, the parent itself.
-        if any(
-            grown[w] & ~vertex != s & ~(1 << w)
-            and kernel.canon_key(m, _delete(grown, w)) < parent_key
-            for w in rivals
-        ):
-            continue
-        kept.add(kernel.canon_key(m + 1, grown))
-    return [_g6.encode(m + 1, key) for key in kept]
+        tied = False
+        for w in rivals:
+            # A twin w of v in the child gives C - w ≅ C - v, the parent itself.
+            if grown[w] & ~vertex == s & ~(1 << w):
+                continue
+            rival_key = kernel.canon_key(m, _delete(grown, w))
+            if rival_key < parent_key:
+                break
+            tied = tied or rival_key == parent_key
+        else:
+            if not tied:
+                yield grown, None
+                continue
+            # Only tied children can be isomorphic to one another.
+            key = _key_of(grown)
+            if key not in kept:
+                kept.add(key)
+                yield grown, key
 
 
 def _deletion_rivals(s: int, deg, nbrs, parts) -> list[int] | None:
@@ -152,9 +183,13 @@ def _delete(adj: list[int], w: int) -> list[int]:
     return [(a & low) | ((a >> 1) & ~low) for i, a in enumerate(adj) if i != w]
 
 
-def _graph_from_key(key: bytes) -> Graph:
-    n, adj = _g6.decode(key)
-    return Graph.from_masks((str(i) for i in range(n)), adj)
+def _key_of(adj: list[int]) -> bytes:
+    """Canonical graph6 key of the graph with adjacency masks ``adj``."""
+    return _g6.encode(len(adj), kernel.canon_key(len(adj), adj))
+
+
+def _graph_from_masks(adj: list[int]) -> Graph:
+    return Graph.from_masks((str(i) for i in range(len(adj))), adj)
 
 
 def _check_order(n: int, capacity: int, what: str) -> None:
@@ -169,7 +204,7 @@ def connected_graphs(n: int, capacity: int = CAPACITY) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
     _check_order(n, capacity, "connected_graphs vertex count")
     for key in _canonical_reps(n):
-        yield _graph_from_key(key)
+        yield _graph_from_masks(_g6.decode(key)[1])
 
 
 def connected_graph_count(n: int, capacity: int = CAPACITY) -> int:
@@ -317,22 +352,43 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _scan_chunk(args) -> tuple[int, int, int, list[str]]:
-    name, ring, keys = args
+def _tally(name: str, ring: str, graphs) -> tuple[int, int, int, list[str]]:
+    """Counts of ``graphs``, (adjacency masks, canonical key or None) pairs.
+
+    Only a failing graph needs its canonical key; a missing one is computed.
+    """
     pred = PREDICATES[name]
     examined = applicable = passed = 0
     failing: list[str] = []
-    for key in keys:
+    for adj, key in graphs:
         examined += 1
-        is_app, ok = pred(Analysis(_graph_from_key(key)), ring)
+        is_app, ok = pred(Analysis(_graph_from_masks(adj)), ring)
         if not is_app:
             continue
         applicable += 1
         if ok:
             passed += 1
         else:
+            key = key or _key_of(adj)
             failing.append(key.decode("ascii"))
     return examined, applicable, passed, failing
+
+
+def _scan_chunk(args) -> tuple[int, int, int, list[str]]:
+    """Scan the graphs of the canonical keys ``keys``."""
+    name, ring, keys = args
+    return _tally(name, ring, ((_g6.decode(key)[1], key) for key in keys))
+
+
+def _scan_parents(args) -> tuple[int, int, int, list[str]]:
+    """Scan the children of the canonical keys ``parents``, one per class."""
+    name, ring, parents = args
+    return _tally(name, ring, (child for p in parents for child in _children(p)))
+
+
+def _run_job(job) -> tuple[int, int, int, list[str]]:
+    scan, args = job
+    return scan(args)
 
 
 def scan_property(
@@ -342,7 +398,12 @@ def scan_property(
     capacity: int = CAPACITY,
     workers: int = 1,
 ) -> ScanReport:
-    """Run a registered predicate over all connected graphs with <= max_vertices."""
+    """Run a registered predicate over all connected graphs with <= max_vertices.
+
+    The classes below the top order are scanned from their canonical keys;
+    the top order is streamed from the children of the order below, so its
+    graphs are never collected and only tied or failing children get a key.
+    """
     ring = normalize_ring(ring)  # before any generation or pool
     if predicate not in PREDICATES:
         known = ", ".join(sorted(PREDICATES))
@@ -351,18 +412,24 @@ def scan_property(
         raise DomainError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     _check_order(max_vertices, capacity, "scan bound")
-    keys: list[bytes] = []
-    for n in range(1, max_vertices + 1):
-        keys.extend(_canonical_reps(n))
-    if workers > 1:
-        chunk = max(1, len(keys) // (workers * 8))
-        jobs = [
-            (predicate, ring, keys[i:i + chunk]) for i in range(0, len(keys), chunk)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_chunk, jobs)
+    if max_vertices == 1:
+        keys, parents = _canonical_reps(1), []
     else:
-        parts = [_scan_chunk((predicate, ring, keys))]
+        keys = [key for n in range(1, max_vertices) for key in _canonical_reps(n)]
+        parents = _canonical_reps(max_vertices - 1)
+    # Each list in up to 8 chunks per worker; one worker takes each list whole.
+    chunks = 8 * workers if workers > 1 else 1
+    jobs = []
+    for scan, items in ((_scan_chunk, keys), (_scan_parents, parents)):
+        size = max(1, -(-len(items) // chunks))
+        jobs.extend(
+            (scan, (predicate, ring, items[i:i + size])) for i in range(0, len(items), size)
+        )
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(_run_job, jobs)
+    else:
+        parts = [_run_job(job) for job in jobs]
     examined = sum(p[0] for p in parts)
     applicable = sum(p[1] for p in parts)
     passed = sum(p[2] for p in parts)

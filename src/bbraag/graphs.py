@@ -10,7 +10,7 @@ the structure queries and the canonical-labeling kernel fast without numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from . import _g6, kernel
 from .errors import CapacityError, DomainError
@@ -138,6 +138,27 @@ def _mask(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def run_flat(call: Generator):
+    """Value of the recursive generator ``call``, run on an explicit stack.
+
+    A recursive function written as a generator yields each nested call (a
+    generator of the same kind) and is sent back its value, so a recursion
+    as deep as a long path costs heap, not Python stack frames.
+    """
+    stack = [call]
+    value = None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
 
 
 # -- connectivity and separators ----------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Generator, Optional, Union
 
 from .errors import CapacityError, DomainError, NotSupportedError
 from .formats import format_graph6
@@ -33,6 +33,7 @@ from .graphs import (
     cut_vertices,
     dismantle,
     is_connected,
+    run_flat,
 )
 from .homology import (
     CollapseResult,
@@ -271,6 +272,10 @@ def subgroups_raag(g: GraphOrAnalysis) -> SubgroupsRaagResult:
 
 # -- structure graph -------------------------------------------------------------------
 
+# Deepest nesting of splits in a structure derivation; its replay and JSON
+# rendering take about two stack frames per split (P_500 nests 400).
+STRUCTURE_DEPTH_LIMIT = 400
+
 
 @dataclass(frozen=True)
 class ConeStrip:
@@ -329,18 +334,29 @@ def bb_structure_graph(g: GraphOrAnalysis) -> StructureGraph:
             "no central vertex and not a tree of Droms graphs "
             f"(obstruction {witness.pattern} on {list(witness.vertices)})"
         )
-    derivation = _derive_structure(g)
+    derivation = run_flat(_derive_structure(g))
     return StructureGraph(replay_structure(g, derivation), derivation)
 
 
-def _derive_structure(g: Graph) -> Derivation:
-    """Strip a central vertex if there is one, else split at the smallest cut vertex."""
+def _derive_structure(g: Graph, depth: int = 0) -> Generator:
+    """Strip a central vertex if there is one, else split at the smallest cut vertex.
+
+    Run by :func:`run_flat`.  The replay and the JSON rendering of the log
+    recurse once per nested split, so a split nested deeper than
+    :data:`STRUCTURE_DEPTH_LIMIT` raises CapacityError.
+    """
     centrals = central_vertices(g)
     if centrals:
         return ConeStrip(centrals[0])
+    if depth == STRUCTURE_DEPTH_LIMIT:
+        raise CapacityError(
+            f"structure derivation may not nest more than {STRUCTURE_DEPTH_LIMIT} splits"
+        )
     cut = cut_vertices(g)[0]
-    blocks = blocks_at(g, cut).blocks
-    return FreeSplit(cut, tuple(_derive_structure(g.induced(b)) for b in blocks))
+    parts = []
+    for b in blocks_at(g, cut).blocks:
+        parts.append((yield _derive_structure(g.induced(b), depth + 1)))
+    return FreeSplit(cut, tuple(parts))
 
 
 def replay_structure(g: GraphOrAnalysis, derivation: Derivation) -> Graph:

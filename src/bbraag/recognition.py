@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Generator, Optional, Union
 
 from .errors import CapacityError, DomainError
 from .graphs import (
@@ -21,6 +21,7 @@ from .graphs import (
     connected_components,
     cut_vertices,
     is_connected,
+    run_flat,
 )
 from .patterns import PATTERNS, disjoint_union
 
@@ -477,8 +478,10 @@ class TreeOfDromsResult:
     witness: Optional[ForbiddenWitness] = None
 
 
-def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> int:
-    """Recursive split; returns the index of a node containing ``anchor``.
+def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> Generator:
+    """Recursive split; its value is the index of a node containing ``anchor``.
+
+    Run by :func:`run_flat`, so a long path does not exhaust the stack.
 
     Splits at the smallest cut vertex while one exists; a piece with no cut
     vertex is itself a connected Droms graph (it is a cone by the class
@@ -498,7 +501,7 @@ def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> int:
     if anchor is not None and anchor != v:
         main = next(k for k, blk in enumerate(blocks) if anchor in blk)
     begin = len(nodes)
-    main_idx = _decompose(
+    main_idx = yield _decompose(
         g.induced(blocks[main]), nodes, edges, v if anchor is None else anchor
     )
     attach = next(
@@ -507,7 +510,7 @@ def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> int:
     for k, blk in enumerate(blocks):
         if k == main:
             continue
-        child_idx = _decompose(g.induced(blk), nodes, edges, v)
+        child_idx = yield _decompose(g.induced(blk), nodes, edges, v)
         edges.append((attach, child_idx, v))
     return main_idx
 
@@ -524,7 +527,7 @@ def is_tree_of_droms(
         return TreeOfDromsResult(False, witness=witness)
     nodes: list[DromsTreeNode] = []
     edges: list[tuple[int, int, str]] = []
-    _decompose(g, nodes, edges, None)
+    run_flat(_decompose(g, nodes, edges, None))
     return TreeOfDromsResult(
         True, decomposition=DromsTreeDecomposition(tuple(nodes), tuple(edges))
     )

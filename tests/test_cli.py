@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +155,25 @@ def test_clique_budget_exit_4(capsys, command):
     code, out, err = run(capsys, command, "--graph6", format_graph6(complete_graph(24)))
     assert code == 4 and out == ""
     assert "capacity error: more than" in err
+
+
+def test_report_long_path_exits_cleanly(tmp_path):
+    # A path's structure derivation nests a split per cut vertex; P_800 is
+    # inside the clique budget, so the report answers or exits 4, never with
+    # a traceback.
+    import bbraag
+
+    p = tmp_path / "p800.txt"
+    p.write_text("".join(f"{i} {i + 1}\n" for i in range(799)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbraag", "report", "--input", str(p)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode in (0, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 4:
+        assert "capacity error: structure derivation may not nest more than" in proc.stderr
 
 
 def test_scan_failures_exit_5(capsys, monkeypatch):

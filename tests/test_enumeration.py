@@ -10,6 +10,7 @@ from bbraag.enumeration import (
     PREDICATES,
     _scan_chunk,
     _canonical_reps,
+    _children as enumerate_children,
     connected_graph_count,
     connected_graphs,
     scan_dim_bound,
@@ -76,6 +77,38 @@ def test_generation_kernel_budget_v8(monkeypatch):
     assert [len(reps[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11_117]
     for n, keys in reps.items():
         assert_canonical_and_connected(n, keys)
+
+
+def test_children_are_one_per_class_of_the_next_order():
+    # Untied children come without a key and must still be the only one of
+    # their class; a tied child's key is its canonical key.
+    for n in range(1, 8):
+        keys = []
+        for parent in _canonical_reps(n):
+            for grown, key in enumerate_children(parent):
+                canonical = _g6.encode(n + 1, kernel.canon_key(n + 1, grown))
+                assert key in (None, canonical)
+                keys.append(canonical)
+        assert len(set(keys)) == len(keys), n + 1
+        assert sorted(keys) == _canonical_reps(n + 1), n + 1
+
+
+def test_scan_kernel_budget_v8(monkeypatch):
+    # The streamed top order keys only its 1,100 tied children: 5,906 calls
+    # in all, where keying every child made 15,929.
+    calls = 0
+    real = kernel.canon_key
+
+    def counting(n, adj):
+        nonlocal calls
+        calls += 1
+        return real(n, adj)
+
+    monkeypatch.setattr(enumeration, "_reps_cache", {})
+    monkeypatch.setattr(kernel, "canon_key", counting)
+    rep = scan_property("acyclic_dim_bound", 8)
+    assert (rep.examined, rep.applicable, rep.failed) == (12_113, 4_294, 0)
+    assert calls <= 6_500
 
 
 def test_subset_images_map_every_subset():
@@ -193,9 +226,40 @@ def test_scan_order_independence():
 
 
 def test_scan_workers_match_sequential():
-    seq = scan_dim_bound(5)
-    par = scan_dim_bound(5, workers=2)
-    assert seq == par
+    for v in range(1, 8):
+        assert scan_dim_bound(v) == scan_dim_bound(v, workers=2), v
+
+
+def reference_scan(name, max_v, ring="Z"):
+    """Every class through _scan_chunk from its canonical key, in one chunk."""
+    keys = [key for n in range(1, max_v + 1) for key in _canonical_reps(n)]
+    examined, applicable, passed, failing = _scan_chunk((name, ring, keys))
+    return enumeration.ScanReport(
+        name, ring, max_v, examined, applicable, passed, tuple(sorted(failing))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+def test_streamed_scan_matches_reference(name):
+    want = reference_scan(name, 7)
+    for workers in (1, 2):
+        assert scan_property(name, 7, workers=workers) == want, workers
+
+
+def test_streamed_scan_fails_the_same_graphs(monkeypatch):
+    # An isomorphism-invariant predicate that fails on about a third of the
+    # graphs: the streamed top order must report each failing class by its
+    # canonical key, in sorted order.
+    def picky(a, ring):
+        g = a.graph
+        return g.edge_count % 4 != 1, sum(m.bit_count() ** 2 for m in g.adj) % 3 != 0
+
+    monkeypatch.setitem(PREDICATES, "picky", picky)
+    want = reference_scan("picky", 7)
+    assert 0.25 < want.failed / want.examined < 0.4
+    assert sum(_g6.decode(k.encode())[0] == 7 for k in want.failing) > 200
+    for workers in (1, 2):
+        assert scan_property("picky", 7, workers=workers) == want, workers
 
 
 def test_scan_workers_bounded(monkeypatch):
@@ -286,10 +350,12 @@ def test_orbit_count_cross_check_n6():
 
 
 def test_every_predicate_runs_clean_small():
+    # One vertex has no parent to stream from: its scan reads K1's key.
     for name in sorted(PREDICATES):
-        rep = scan_property(name, 4)
-        assert rep.examined == 10
-        assert rep.failed == 0, name
+        for max_v, examined in ((1, 1), (4, 10)):
+            rep = scan_property(name, max_v)
+            assert rep.examined == examined
+            assert rep.failed == 0, name
 
 
 def test_chordal_acyclic_scan_v7():

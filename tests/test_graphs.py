@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from bbraag.graphs import (
     connected_components,
     cut_vertices,
     is_connected,
+    run_flat,
 )
 from bbraag.patterns import (
     complete_graph,
@@ -26,6 +28,16 @@ from bbraag.patterns import (
     path_graph,
     star_graph,
 )
+
+
+def test_run_flat_runs_deeper_than_the_stack():
+    def depth(k):
+        if k == 0:
+            return 0
+        return 1 + (yield depth(k - 1))
+
+    deep = 5 * sys.getrecursionlimit()
+    assert run_flat(depth(deep)) == deep
 
 
 def bowtie():

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from bbraag.errors import DomainError, NotSupportedError
+import bbraag.invariants as invariants
+from bbraag.errors import CapacityError, DomainError, NotSupportedError
 from bbraag.graphs import Graph, is_connected
 from bbraag.invariants import (
     Analysis,
@@ -127,6 +128,17 @@ def test_structure_replay():
                               ("c", "v"), ("d", "v")])):
         s = bb_structure_graph(g)
         assert replay_structure(g, s.derivation) == s.graph
+
+
+def test_structure_depth_limit(monkeypatch):
+    # path_graph(n) nests n - 3 splits for 4 <= n <= 12
+    monkeypatch.setattr(invariants, "STRUCTURE_DEPTH_LIMIT", 3)
+    s = bb_structure_graph(path_graph(6))
+    assert replay_structure(path_graph(6), s.derivation) == s.graph
+    with pytest.raises(CapacityError, match="more than 3 splits"):
+        bb_structure_graph(path_graph(7))
+    with pytest.raises(CapacityError):
+        invariant_report(path_graph(7))
 
 
 def test_structure_trees_isolated_vertices():

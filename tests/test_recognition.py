@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,25 @@ from bbraag.recognition import (
 from bbraag.enumeration import connected_graphs
 
 from oracles import brute_isomorphic
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_tree_of_droms_decomposition_does_not_recurse_per_split():
+    # P_300 splits about 290 times; the decomposition must fit in 100 frames.
+    g = path_graph(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        res = is_tree_of_droms(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.tree_of_droms and replay_tree_of_droms(res.decomposition) == g
 
 
 def bowtie():
