@@ -343,26 +343,46 @@ def maximal_clique_masks(n: int, adj) -> list[int]:
     return out
 
 
+def clique_levels(n: int, adj) -> list[list[tuple[int, ...]]]:
+    """The nonempty cliques by size, each size in lexicographic index order.
+
+    The (k+1)-cliques are the k-cliques, in order, each extended by its common
+    neighbours above its largest vertex in ascending order, so every level
+    comes out sorted.  Each clique's extensions are counted before they are
+    made, so more than CLIQUE_BUDGET cliques raise CapacityError before more
+    than CLIQUE_BUDGET exist.
+    """
+    count = n
+    _over_budget(count)
+    faces = [(i,) for i in range(n)]
+    # the common neighbours of each clique above its largest vertex
+    above = [a >> (i + 1) << (i + 1) for i, a in enumerate(adj)]
+    levels = []
+    while faces:
+        levels.append(faces)
+        grown: list[tuple[int, ...]] = []
+        grown_above: list[int] = []
+        for face, rest in zip(faces, above):
+            if not rest:
+                continue
+            count += rest.bit_count()
+            _over_budget(count)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                grown.append(face + (v,))
+                grown_above.append(rest & adj[v])
+        faces, above = grown, grown_above
+    return levels
+
+
 def clique_masks(n: int, adj) -> set[int]:
     """Every clique of the graph as a vertex mask, the empty one included.
 
-    More than CLIQUE_BUDGET cliques raise CapacityError.
+    More than CLIQUE_BUDGET nonempty cliques raise CapacityError.
     """
-    seen = {0}
-    stack = []
-    for top in maximal_clique_masks(n, adj):
-        if top not in seen:
-            seen.add(top)
-            stack.append(top)
-    while stack:
-        m = stack.pop()
-        for i in _bits(m):
-            child = m & ~(1 << i)
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-        _over_budget(len(seen) - 1)
-    return seen
+    return {0}.union(_mask(face) for level in clique_levels(n, adj) for face in level)
 
 
 def clique_euler(adj, universe: int) -> int:

@@ -14,20 +14,28 @@ The core here is read off the faces, so complexes that are not flag
 complexes reduce correctly.  For the flag complex of a graph the same core
 comes from dismantling the graph (:func:`bbraag.graphs.dismantle`: v is
 dominated by u when N[v] lies inside N[u]) before any face exists; that is how
-:class:`bbraag.invariants.Analysis` decides acyclicity.  :func:`flag_complex`
-stops with CapacityError beyond :data:`bbraag.graphs.CLIQUE_BUDGET` cliques.
+:class:`bbraag.invariants.Analysis` decides acyclicity.
+
+:func:`flag_complex` makes the (k+1)-cliques from the k-cliques, each
+extended in order by its common neighbours above its largest vertex, so every
+dimension comes out sorted, with no set and no sort; it stops with
+CapacityError before the face that would take it past
+:data:`bbraag.graphs.CLIQUE_BUDGET` cliques exists.  :func:`collapse_to_point`
+numbers every face once in (dimension, labels) order and collapses on those
+integer ids: lists of codimension-1 ids, coface counts and XORs in arrays,
+and a heap of ids.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import Optional
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, _mask, clique_masks
+from .graphs import Graph, _bits, _mask, clique_levels
 
 IntegerMatrix = list[list[int]]
 
@@ -136,18 +144,12 @@ class SimplicialComplex:
 
 
 def flag_complex(g: Graph) -> SimplicialComplex:
-    """Clique complex of ``g``: d-faces are the (d+1)-cliques."""
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for mask in clique_masks(g.n, g.adj):
-        if mask == 0:
-            continue
-        face = tuple(_bits(mask))
-        by_size.setdefault(len(face), []).append(face)
-    if not by_size:
-        return SimplicialComplex(g.labels, ())
-    top = max(by_size)
-    faces = tuple(tuple(sorted(by_size.get(k, []))) for k in range(1, top + 1))
-    return SimplicialComplex(g.labels, faces)
+    """Clique complex of ``g``: d-faces are the (d+1)-cliques.
+
+    Built level by level by :func:`bbraag.graphs.clique_levels`, whose order
+    (lexicographic in the vertex indices) is already the sorted face order.
+    """
+    return SimplicialComplex(g.labels, tuple(map(tuple, clique_levels(g.n, g.adj))))
 
 
 @dataclass(frozen=True)
@@ -552,45 +554,50 @@ def collapse_to_point(c: SimplicialComplex) -> CollapseResult:
     when exactly one face contains it, and that face is then f plus one
     vertex.  Conversely a face f with one codimension-1 coface g is free: a
     face above g would contain a second one.  So only those cofaces are
-    counted, with their XOR, which is g itself while the count is 1.  Free
-    faces wait in a heap in the order above; an entry whose face has been
-    removed or has lost its coface since is skipped when popped.
+    counted, with their XOR, which is g itself while the count is 1.
+
+    Faces are numbered once in (dimension, labels) order, so the order of
+    the free faces is the order of their integer ids; labels are distinct,
+    so no two faces tie.  Free face ids wait in a heap; an id whose face has
+    been removed or has lost its coface since is skipped when popped.
     """
-    key = {
-        m: (len(f), tuple(map(c.labels.__getitem__, f)), m)
-        for fs in c.faces for f in fs for m in (_mask(f),)
-    }
-    up = dict.fromkeys(key, 0)
-    co = dict.fromkeys(key, 0)
-    for g in key:
-        for s in _codim1(g):
-            if s in up:
-                up[s] += 1
-                co[s] ^= g
-    heap = [key[f] for f, count in up.items() if count == 1]
-    heapq.heapify(heap)
+    labels_of = partial(map, c.labels.__getitem__)
+    names: list[tuple[str, ...]] = []  # the labels of each face, by id
+    below: list[list[int]] = []  # the ids of its codimension-1 faces
+    ids: dict[int, int] = {}  # the ids of the previous dimension, by vertex mask
+    for fs in c.faces:
+        lower, ids = ids, {}
+        for name, face in sorted(zip(map(tuple, map(labels_of, fs)), fs)):
+            mask = _mask(face)
+            ids[mask] = len(names)
+            names.append(name)
+            below.append([lower[mask ^ 1 << i] for i in face] if lower else [])
+    up = [0] * len(names)
+    co = [0] * len(names)
+    for g, subs in enumerate(below):
+        for s in subs:
+            up[s] += 1
+            co[s] ^= g
+    heap = [f for f, count in enumerate(up) if count == 1]  # ascending, so a heap
+    alive = bytearray(b"\x01") * len(names)
     sequence = []
     while heap:
-        _, labels, f = heapq.heappop(heap)
-        if up.get(f) != 1:
+        f = heapq.heappop(heap)
+        if up[f] != 1:
             continue
-        coface = co[f]
-        for removed in (f, coface):
-            del up[removed]
-            for s in _codim1(removed):
-                if s in up:
-                    up[s] -= 1
-                    co[s] ^= removed
-                    if up[s] == 1:
-                        heapq.heappush(heap, key[s])
-        sequence.append((labels, key[coface][1]))
-    remaining = tuple(key[f][1] for f in sorted(up, key=key.__getitem__))
-    return CollapseResult(len(up) == 1, tuple(sequence), remaining)
-
-
-def _codim1(mask: int) -> list[int]:
-    """The masks with one vertex of ``mask`` removed (0 for a vertex)."""
-    return [mask ^ (1 << i) for i in _bits(mask)]
+        g = co[f]
+        alive[f] = alive[g] = 0
+        # Removing g takes f's count to 0.  No face above f but g, and none
+        # above g, is left, so no face alive lies above a removed one.
+        for removed in (g, f):
+            for s in below[removed]:
+                up[s] -= 1
+                co[s] ^= removed
+                if up[s] == 1:
+                    heapq.heappush(heap, s)
+        sequence.append((names[f], names[g]))
+    remaining = tuple(name for name, kept in zip(names, alive) if kept)
+    return CollapseResult(len(remaining) == 1, tuple(sequence), remaining)
 
 
 def acyclic_over_z_fast(c: SimplicialComplex) -> bool:

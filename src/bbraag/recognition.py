@@ -161,41 +161,39 @@ def is_chordal(g: Graph) -> ChordalityResult:
 def find_induced(g: Graph, pattern: str) -> Optional[tuple[str, ...]]:
     """First vertex subset of ``g`` inducing the named pattern, or ``None``.
 
-    Backtracking over partial vertex maps with degree pruning; candidates are
-    tried in index order so the result is deterministic.
+    Backtracking over partial vertex maps.  The candidates for each pattern
+    position are one mask: the unused vertices of large enough degree,
+    adjacent to the image of each earlier position exactly where the pattern
+    is.  They are tried in index order, so the result is deterministic.
     """
     pat = PATTERNS[pattern]
     k, padj = pat.n, pat.adj
     if g.n < k:
         return None
-    pdeg = [m.bit_count() for m in padj]
-    gdeg = [m.bit_count() for m in g.adj]
+    adj = g.adj
+    fits = [
+        sum(1 << c for c, row in enumerate(adj) if row.bit_count() >= p.bit_count())
+        for p in padj
+    ]
     image = [-1] * k
-    used = 0
 
-    def extend(depth: int) -> bool:
-        nonlocal used
+    def extend(depth: int, used: int) -> bool:
         if depth == k:
             return True
-        for c in range(g.n):
-            if (used >> c) & 1 or gdeg[c] < pdeg[depth]:
-                continue
-            ok = True
-            for j in range(depth):
-                want = (padj[depth] >> j) & 1
-                have = (g.adj[c] >> image[j]) & 1
-                if want != have:
-                    ok = False
-                    break
-            if ok:
-                image[depth] = c
-                used |= 1 << c
-                if extend(depth + 1):
-                    return True
-                used &= ~(1 << c)
+        cands = fits[depth] & ~used
+        want = padj[depth]
+        for j in range(depth):
+            row = adj[image[j]]
+            cands &= row if want >> j & 1 else ~row
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            image[depth] = low.bit_length() - 1
+            if extend(depth + 1, used | low):
+                return True
         return False
 
-    if extend(0):
+    if extend(0, 0):
         return tuple(sorted(g.labels[i] for i in image))
     return None
 

@@ -7,8 +7,10 @@ homology of the full complex with no core reduction, vertex domination read
 off the faces, a from-scratch graph6 reader, generation by extending every
 class and deduplicating through one set per order, automorphism groups and
 their orbits on vertex subsets from all n! permutations, greedy collapse by
-rescanning every face at each step, and the graded dimensions of the
-exterior face ring modulo the vertex sum from ranks in the clique basis.
+rescanning every face at each step, the graded dimensions of the
+exterior face ring modulo the vertex sum from ranks in the clique basis,
+flag-complex faces from every vertex subset, and induced-pattern search
+that scans every vertex at each step.
 Keep these free of bbraag internals beyond the public Graph accessors.
 """
 
@@ -364,6 +366,62 @@ def rescanning_collapse(complex_):
         sequence.append((labels_of(f), labels_of(coface)))
     remaining = tuple(sorted((labels_of(f) for f in faces), key=lambda t: (len(t), t)))
     return len(faces) == 1, tuple(sequence), remaining
+
+
+def scanning_find_induced(g: Graph, pat: Graph):
+    """Sorted labels of the first vertex map of ``g`` inducing ``pat``, or None.
+
+    Backtracking that scans every vertex of ``g`` at each pattern position,
+    in index order, and tests degree and adjacency one vertex at a time.
+    """
+    k, padj = pat.n, pat.adj
+    if g.n < k:
+        return None
+    pdeg = [m.bit_count() for m in padj]
+    gdeg = [m.bit_count() for m in g.adj]
+    image = [-1] * k
+    used = 0
+
+    def extend(depth: int) -> bool:
+        nonlocal used
+        if depth == k:
+            return True
+        for c in range(g.n):
+            if (used >> c) & 1 or gdeg[c] < pdeg[depth]:
+                continue
+            ok = True
+            for j in range(depth):
+                want = (padj[depth] >> j) & 1
+                have = (g.adj[c] >> image[j]) & 1
+                if want != have:
+                    ok = False
+                    break
+            if ok:
+                image[depth] = c
+                used |= 1 << c
+                if extend(depth + 1):
+                    return True
+                used &= ~(1 << c)
+        return False
+
+    if extend(0):
+        return tuple(sorted(g.labels[i] for i in image))
+    return None
+
+
+def brute_flag_faces(g: Graph):
+    """Faces of the flag complex of ``g`` by dimension: every vertex subset that
+    is a clique, as sorted index tuples, sorted."""
+    faces = []
+    for size in range(1, g.n + 1):
+        level = [
+            sub for sub in combinations(range(g.n), size)
+            if all(g.adj[a] >> b & 1 for a, b in combinations(sub, 2))
+        ]
+        if not level:
+            break
+        faces.append(tuple(sorted(level)))
+    return tuple(faces)
 
 
 def minor_gcd(matrix, k) -> int:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,7 @@ from bbraag.enumeration import connected_graphs
 from bbraag.invariants import Analysis
 
 from oracles import (
+    brute_flag_faces,
     dominates,
     fraction_rank,
     integer_diagonal,
@@ -105,6 +107,50 @@ def test_flag_complex_examples():
     c = flag_complex(overlapping_gems_graph())
     assert [c.face_count(d) for d in range(c.dim + 1)] == [6, 10, 6, 1]
     assert flag_complex(Graph([])).dim == -1
+
+
+def random_graph(rng, n, percent):
+    """A random graph on n vertices with distinct random hex labels, in no order."""
+    labels = [f"{rng.getrandbits(24):06x}" for _ in range(n)]
+    while len(set(labels)) < n:
+        labels = [f"{rng.getrandbits(24):06x}" for _ in range(n)]
+    return Graph(labels, [e for e in combinations(labels, 2) if rng.random() * 100 < percent])
+
+
+def test_flag_complex_matches_brute_force():
+    cases = [g for n in range(1, 8) for g in connected_graphs(n)]
+    cases += [Graph([]), Graph("dcba"), Graph(["z"])]
+    rng = random.Random(47)
+    cases += [random_graph(rng, rng.randint(1, 11), rng.choice((20, 50, 80))) for _ in range(60)]
+    for g in cases:
+        c = flag_complex(g)
+        assert c.labels == g.labels
+        assert c.faces == brute_flag_faces(g), g.labels
+
+
+def test_flag_complex_budget_counts_every_face(monkeypatch):
+    def k(n):
+        return Graph.from_masks([f"v{i}" for i in range(n)],
+                                [((1 << n) - 1) ^ (1 << i) for i in range(n)])
+
+    monkeypatch.setattr("bbraag.graphs.CLIQUE_BUDGET", 31)
+    assert sum(map(len, flag_complex(k(5)).faces)) == 31
+    for n in (6, 7, 40):
+        with pytest.raises(CapacityError):
+            flag_complex(k(n))
+
+    # K_400 has 79,800 edges; each one made costs a tuple and a 400-bit mask,
+    # several MB together, so the enumeration must stop inside the budget.
+    big = k(400)
+    monkeypatch.setattr("bbraag.graphs.CLIQUE_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            flag_complex(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_boundary_squares_to_zero():
@@ -710,7 +756,11 @@ def test_collapse_matches_rescanning_oracle():
         complex_from_facets(RP2_FACETS),
         complex_from_facets(RP2_FACETS + [tuple("awxy"), tuple("bz")]),
         complex_from_facets([f + ("z",) for f in RP2_FACETS]),
+        # labels out of index order: ordering faces by index picks other free faces
+        flag_complex(complete_graph(9, labels=[str(8 - i) for i in range(9)])),
     ]
+    rng = random.Random(71)
+    complexes += [flag_complex(random_graph(rng, 11, 70)) for _ in range(3)]
     outcomes = set()
     for c in complexes:
         res = collapse_to_point(c)

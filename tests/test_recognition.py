@@ -28,7 +28,7 @@ from bbraag.recognition import (
 )
 from bbraag.enumeration import connected_graphs
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, scanning_find_induced
 
 
 def stack_depth():
@@ -116,6 +116,25 @@ def test_find_induced_examples():
     assert find_induced(overlapping_gems_graph(), "GEM") is None
     hit = find_induced(overlapping_gems_graph(), "HBAR")
     assert hit == ("a", "b", "c", "d", "u", "w")
+
+
+def test_find_induced_matches_scanning_oracle():
+    cases = [g for n in range(1, 8) for g in connected_graphs(n)]
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 11)
+        labels = [f"x{rng.getrandbits(20):05x}{i}" for i in range(n)]
+        rng.shuffle(labels)
+        p = rng.random()
+        cases.append(Graph(labels, [(a, b) for i, a in enumerate(labels)
+                                    for b in labels[i + 1:] if rng.random() < p]))
+    found = set()
+    for g in cases:
+        for name, pat in PATTERNS.items():
+            hit = find_induced(g, name)
+            assert hit == scanning_find_induced(g, pat)
+            found.add((name, hit is not None))
+    assert len(found) == 2 * len(PATTERNS)
 
 
 def test_find_induced_soundness():
