@@ -5,6 +5,9 @@ equitable one, branch on the first non-singleton cell, and keep the minimal
 packed upper-triangle key (graph6 bit order) over the explored leaves.
 Automorphisms discovered at equal-key leaves prune sibling branches, which
 tames symmetric inputs (complete graphs, cycles) without a full nauty.
+Refinement splits only with the cells that are new since the last equitable
+partition, as nauty does (McKay and Piperno, "Practical graph isomorphism,
+II", J. Symb. Comput. 60, 2014).
 
 `bbraag._canon_cy` is the compiled twin; both must return identical keys.
 """
@@ -23,16 +26,24 @@ def canon_key(n: int, adj) -> int:
     return _search(n, adj)[0]
 
 
-def automorphism_generators(n: int, adj) -> list[tuple[int, ...]]:
-    """Automorphisms of ``adj`` that generate its whole automorphism group.
+def canonical_search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
+    """The key :func:`canon_key` returns and automorphisms generating the group of ``adj``.
 
-    Each is a tuple ``a`` with ``a[v]`` the image of vertex ``v``; none is
-    the identity, and the list is empty when the group is trivial.  The search
-    meets every automorphism as a leaf with the best key, either explored or
-    inside a subtree pruned as the image of an explored one under the
-    automorphisms already found, so the found ones generate the group.
+    Each automorphism is a tuple ``a`` with ``a[v]`` the image of vertex
+    ``v``; none is the identity, and the list is empty when the group is
+    trivial.  The search meets every automorphism as a leaf with the best
+    key, either explored or inside a subtree pruned as the image of an
+    explored one under the automorphisms already found, so the found ones
+    generate the group.
     """
-    return _search(n, adj)[1]
+    return _search(n, adj)
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
@@ -45,33 +56,40 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
     autos: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
-    def refine(parts):
-        parts = list(parts)
-        while True:
-            for splitter in list(parts):
-                smask = 0
-                for v in splitter:
-                    smask |= 1 << v
-                new_parts = []
-                changed = False
-                for cell in parts:
-                    if len(cell) == 1:
-                        new_parts.append(cell)
-                        continue
+    def refine(parts, fresh):
+        """The equitable refinement of ``parts``, trying only the cells marked in ``fresh``.
+
+        A cell that splits no cell of a partition splits none of its
+        refinements, so a cell is tried once, when it is new.  The first
+        fresh cell that splits is then the first cell of the partition that
+        splits, and every split is the one a pass over all cells would make.
+        """
+        i = 0
+        while i < len(parts):
+            if not fresh[i]:
+                i += 1
+                continue
+            fresh[i] = False
+            smask = 0
+            for v in parts[i]:
+                smask |= 1 << v
+            new_parts = []
+            new_fresh = []
+            for cell, new in zip(parts, fresh):
+                if len(cell) > 1:
                     groups: dict[int, list[int]] = {}
                     for v in cell:
                         groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                    if len(groups) == 1:
-                        new_parts.append(cell)
-                    else:
-                        changed = True
+                    if len(groups) > 1:
                         for count in sorted(groups):
                             new_parts.append(tuple(groups[count]))
-                parts = new_parts
-                if changed:
-                    break
-            else:
-                return parts
+                            new_fresh.append(True)
+                        continue
+                new_parts.append(cell)
+                new_fresh.append(new)
+            if len(new_parts) > len(parts):
+                parts, fresh, i = new_parts, new_fresh, 0
+        return parts
 
     def leaf_key(perm):
         key = 0
@@ -81,28 +99,8 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
                 key = (key << 1) | ((row >> perm[i]) & 1)
         return key
 
-    def orbit_blocked(v, tried):
-        usable = [a for a in autos if all(a[p] == p for p in prefix)]
-        if not usable:
-            return False
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in usable:
-            for x in range(n):
-                rx, ry = find(x), find(a[x])
-                if rx != ry:
-                    parent[rx] = ry
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
-
-    def search(parts):
-        parts = refine(parts)
+    def search(parts, fresh):
+        parts = refine(parts, fresh)
         target = -1
         for idx, cell in enumerate(parts):
             if len(cell) > 1:
@@ -125,15 +123,34 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
         cell = parts[target]
         head = parts[:target]
         tail = parts[target + 1:]
+        # Below this node only (v,) is new.  The target cell was a cell of an
+        # equitable partition, so a count to the rest of it is the count to
+        # the whole cell minus the count to v: the rest splits a cell only
+        # where (v,) does, which is tried first.
+        child_fresh = [False] * (len(parts) + 1)
+        child_fresh[target] = True
+        # Orbits of the automorphisms found so far that fix the prefix,
+        # merged in as ``autos`` grows.
+        orbits = list(range(n))
+        merged = 0
         tried: list[int] = []
         for v in cell:
-            if tried and orbit_blocked(v, tried):
-                continue
+            if tried:
+                for a in autos[merged:]:
+                    if all(a[p] == p for p in prefix):
+                        for x in range(n):
+                            rx, ry = _find(orbits, x), _find(orbits, a[x])
+                            if rx != ry:
+                                orbits[rx] = ry
+                merged = len(autos)
+                rv = _find(orbits, v)
+                if any(_find(orbits, u) == rv for u in tried):
+                    continue
             tried.append(v)
             child = head + [(v,), tuple(u for u in cell if u != v)] + tail
             prefix.append(v)
-            search(child)
+            search(child, child_fresh[:])
             prefix.pop()
 
-    search([tuple(range(n))])
+    search([tuple(range(n))], [True])
     return state["best"], autos

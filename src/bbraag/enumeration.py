@@ -29,18 +29,27 @@ automorphism taking S to S'.  So w' = phi(v) is in T(C'), a rival of v' with
 C' - w' isomorphic to the parent, and it is no twin of v': composing phi with
 the swap of v' and w' would fix v'.  The rival test of C' therefore meets a
 non-twin rival whose deletion has the parent's key, and by symmetry so does
-that of C.  A child with no such tie is the only one of its class; only tied
-children get a key, and only those keys meet in a set local to the parent.
+that of C.  A child with no such tie is the only one of its class.  The tied
+children of a parent are gathered and bucketed by an isomorphism invariant
+(the sorted degree and neighbour degrees of every vertex); only the children
+that share a bucket get a key (22 of the 1,100 tied children of order 8),
+and only those keys meet in a set local to the parent.
 
-Key lists are ordered by canonical graph6 bytes.  A scan reads the orders
-below its bound from those lists and streams the top order: each parent's
-children are examined as labeled graphs and canonicalized only when they
-tie or fail, so the top order is never held and the v <= 8 scan makes 5,906
-kernel calls, where keying every child made 15,929.  Its counts merge
+Each parent costs one canonical search, which gives both its key and the
+generators of its automorphism group, and the parent may come in any
+labeling.  A scan therefore walks the orders as labeled graphs: each order
+below its bound is built from the children of the one before and scanned as
+it is built, and the top order is streamed from the order below without
+being held.  No lower-order class is keyed only to be decoded again, so the
+v <= 8 scan makes 4,816 searches (996 parent searches and 3,820 kernel
+calls), where keying the lower orders made 6,902.  Its counts merge
 associatively and the failing list is sorted, so the result does not depend
-on the order of the work, and a worker pool takes chunks of lower-order keys
-and chunks of parents.  Each predicate receives one
-:class:`~bbraag.invariants.Analysis` per graph, the context the report uses.
+on the order of the work, and a worker pool takes chunks of each lower order
+and chunks of the top order's parents.  :func:`_canonical_reps`, whose key
+lists are ordered by canonical graph6 bytes, grows each order from the
+decoded keys of the one below and keys every child.  Each predicate receives
+one :class:`~bbraag.invariants.Analysis` per graph, the context the report
+uses.
 """
 
 from __future__ import annotations
@@ -70,47 +79,51 @@ def _canonical_reps(n: int) -> list[bytes]:
     if n == 1:
         out = [_g6.encode(1, 0)]
     else:
-        out = [child for key in _canonical_reps(n - 1) for child in _canonical_children(key)]
-        out.sort()
+        parents = (_g6.decode(key)[1] for key in _canonical_reps(n - 1))
+        out = sorted(key or _key_of(grown) for grown, key in _grow(parents))
     _reps_cache[n] = out
     return out
 
 
-def _canonical_children(parent: bytes) -> list[bytes]:
-    """Canonical keys of the classes, one vertex larger, whose canonical parent is ``parent``."""
-    return [key or _key_of(grown) for grown, key in _children(parent)]
+def _grow(parents) -> Iterator[tuple[list[int], bytes | None]]:
+    """The children of every parent in ``parents``: one order up, one per class."""
+    for adj in parents:
+        yield from _children(adj)
 
 
-def _children(parent: bytes) -> Iterator[tuple[list[int], bytes | None]]:
-    """One labeled child per class whose canonical parent is ``parent``.
+def _children(adj: list[int]) -> Iterator[tuple[list[int], bytes | None]]:
+    """One labeled child per class whose canonical parent is the graph ``adj``.
 
-    Yields the child's adjacency masks (the new vertex last) with its
-    canonical key when a rival tie made the key necessary, else None.
+    ``adj`` holds the parent's adjacency masks in any labeling.  Yields the
+    child's adjacency masks (the new vertex last) with its canonical key when
+    another tied child shared its invariant, else None.
     """
-    m, adj = _g6.decode(parent)
-    parent_key = _g6.key_from_adj(m, adj)
+    m = len(adj)
+    parent_key, generators = _canon_py.canonical_search(m, adj)
     deg = [a.bit_count() for a in adj]
     nbrs = [tuple(_bits(a)) for a in adj]
     # The child minus u is connected iff S meets every component of the parent minus u.
     full = (1 << m) - 1
     parts = [_component_masks(m, adj, full & ~(1 << u)) for u in range(m)]
-    # A vertex that does not cut the parent does not cut the child once
-    # |S| > 1, so one whose degree in the child exceeds |S| puts v out of T.
-    # These masks reject most neighbourhoods before any per-vertex work.
-    above = [0] * (m + 1)
-    level = [0] * (m + 1)
+    # Vertex masks by degree in the parent: eq[d] of degree d, ge[d] of degree >= d.
+    cut = 0
+    eq = [0] * (m + 2)
     for u in range(m):
-        if len(parts[u]) <= 1:
-            for k in range(deg[u]):
-                above[k] |= 1 << u
-            level[deg[u]] |= 1 << u
+        eq[deg[u]] |= 1 << u
+        if len(parts[u]) > 1:
+            cut |= 1 << u
+    ge = eq[:]
+    for d in range(m, -1, -1):
+        ge[d] |= ge[d + 1]
     vertex = 1 << m
-    images = [_subset_images(a, vertex) for a in _canon_py.automorphism_generators(m, adj)]
+    images = [_subset_images(a, vertex) for a in generators]
     seen = bytearray(vertex)
-    kept: set[bytes] = set()
+    tied: dict[tuple, list[list[int]]] = {}
     for s in range(1, vertex):
         k = s.bit_count()
-        if seen[s] or k > 1 and (above[k] or s & level[k]):
+        # The degree test of _deletion_rivals on the vertices that do not cut
+        # the parent, which rejects most neighbourhoods before the orbit walk.
+        if seen[s] or k > 1 and (ge[k + 1] | eq[k] & s) & ~cut:
             continue
         # An automorphism of the parent, extended to fix v, maps the child
         # over S onto the child over its image: same verdict, same key.
@@ -121,12 +134,12 @@ def _children(parent: bytes) -> Iterator[tuple[list[int], bytes | None]]:
                 if not seen[img[t]]:
                     seen[img[t]] = 1
                     orbit.append(img[t])
-        rivals = _deletion_rivals(s, deg, nbrs, parts)
+        rivals = _deletion_rivals(s, deg, nbrs, parts, cut, eq, ge)
         if rivals is None:
             continue
         grown = [a | vertex if s >> u & 1 else a for u, a in enumerate(adj)]
         grown.append(s)
-        tied = False
+        tie = False
         for w in rivals:
             # A twin w of v in the child gives C - w ≅ C - v, the parent itself.
             if grown[w] & ~vertex == s & ~(1 << w):
@@ -134,38 +147,66 @@ def _children(parent: bytes) -> Iterator[tuple[list[int], bytes | None]]:
             rival_key = kernel.canon_key(m, _delete(grown, w))
             if rival_key < parent_key:
                 break
-            tied = tied or rival_key == parent_key
+            tie = tie or rival_key == parent_key
         else:
-            if not tied:
+            if tie:
+                tied.setdefault(_degree_invariant(grown), []).append(grown)
+            else:
                 yield grown, None
-                continue
-            # Only tied children can be isomorphic to one another.
+    # Only tied children can be isomorphic to one another, and only when
+    # their invariants agree.
+    for bucket in tied.values():
+        if len(bucket) == 1:
+            yield bucket[0], None
+            continue
+        kept: set[bytes] = set()
+        for grown in bucket:
             key = _key_of(grown)
             if key not in kept:
                 kept.add(key)
                 yield grown, key
 
 
-def _deletion_rivals(s: int, deg, nbrs, parts) -> list[int] | None:
+def _deletion_rivals(s: int, deg, nbrs, parts, cut: int, eq, ge) -> list[int] | None:
     """Parent vertices tied with the new vertex v (joined to ``s``) as deletion candidates.
 
     A candidate leaves the child connected; the candidates with the largest
     (degree, sorted neighbour degrees) form T.  None means v is not in T.
+    ``cut`` masks the cut vertices of the parent, ``eq[d]`` and ``ge[d]`` its
+    vertices of degree d and of degree at least d.
     """
     k = s.bit_count()
-    dc = [d + (s >> u & 1) for u, d in enumerate(deg)]
-    ties = [u for u, d in enumerate(dc) if d >= k and all(s & p for p in parts[u])]
-    if any(dc[u] > k for u in ties):
+    # A vertex u that does not cut the parent leaves the child connected
+    # unless S = {u}; the others are checked component by component.
+    check = cut | s if k == 1 else cut
+    above = ge[k + 1] | eq[k] & s  # child degree above k
+    if above & ~check:
         return None
-    own = sorted(dc[u] for u in _bits(s))
+    for u in _bits(above & check):
+        if all(s & p for p in parts[u]):
+            return None
+    level = eq[k] & ~s | eq[k - 1] & s  # child degree k
+    ties = level & ~check
+    for u in _bits(level & check):
+        if all(s & p for p in parts[u]):
+            ties |= 1 << u
+    if not ties:
+        return []
+    own = sorted(deg[u] + 1 for u in _bits(s))
     rivals = []
-    for u in ties:
-        theirs = sorted([dc[x] for x in nbrs[u]] + [k] * (s >> u & 1))
+    for u in _bits(ties):
+        theirs = sorted([deg[x] + (s >> x & 1) for x in nbrs[u]] + [k] * (s >> u & 1))
         if theirs > own:
             return None
         if theirs == own:
             rivals.append(u)
     return rivals
+
+
+def _degree_invariant(adj: list[int]) -> tuple:
+    """Sorted (degree, sorted neighbour degrees) of every vertex: equal on isomorphic graphs."""
+    deg = [a.bit_count() for a in adj]
+    return tuple(sorted((deg[u], tuple(sorted(deg[x] for x in _bits(a)))) for u, a in enumerate(adj)))
 
 
 def _subset_images(perm: tuple[int, ...], size: int) -> list[int]:
@@ -375,20 +416,41 @@ def _tally(name: str, ring: str, graphs) -> tuple[int, int, int, list[str]]:
 
 
 def _scan_chunk(args) -> tuple[int, int, int, list[str]]:
-    """Scan the graphs of the canonical keys ``keys``."""
-    name, ring, keys = args
-    return _tally(name, ring, ((_g6.decode(key)[1], key) for key in keys))
+    """Scan ``items``, (adjacency masks, canonical key or None) pairs."""
+    name, ring, items = args
+    return _tally(name, ring, items)
 
 
 def _scan_parents(args) -> tuple[int, int, int, list[str]]:
-    """Scan the children of the canonical keys ``parents``, one per class."""
+    """Scan the children of the graphs with adjacency masks ``parents``, one per class."""
     name, ring, parents = args
-    return _tally(name, ring, (child for p in parents for child in _children(p)))
+    return _tally(name, ring, _grow(parents))
 
 
 def _run_job(job) -> tuple[int, int, int, list[str]]:
     scan, args = job
     return scan(args)
+
+
+def _scan_jobs(predicate: str, ring: str, max_vertices: int, chunks: int):
+    """The jobs of a scan, one order after another, each split into up to ``chunks``.
+
+    Every order below the top is built from the one before and scanned as
+    items; the top order is streamed from the children of the order below.
+    """
+
+    def split(scan, items):
+        size = max(1, -(-len(items) // chunks))
+        for i in range(0, len(items), size):
+            yield scan, (predicate, ring, items[i:i + size])
+
+    level = [([0], None)]  # K1, the class of order 1
+    yield from split(_scan_chunk, level)
+    for _ in range(2, max_vertices):
+        level = list(_grow(adj for adj, _ in level))
+        yield from split(_scan_chunk, level)
+    if max_vertices > 1:
+        yield from split(_scan_parents, [adj for adj, _ in level])
 
 
 def scan_property(
@@ -400,9 +462,9 @@ def scan_property(
 ) -> ScanReport:
     """Run a registered predicate over all connected graphs with <= max_vertices.
 
-    The classes below the top order are scanned from their canonical keys;
-    the top order is streamed from the children of the order below, so its
-    graphs are never collected and only tied or failing children get a key.
+    Each order is generated from the labeled classes of the order below and
+    scanned as it is generated; the top order is streamed, so its graphs are
+    never collected, and only tied or failing graphs get a key.
     """
     ring = normalize_ring(ring)  # before any generation or pool
     if predicate not in PREDICATES:
@@ -412,22 +474,12 @@ def scan_property(
         raise DomainError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     _check_order(max_vertices, capacity, "scan bound")
-    if max_vertices == 1:
-        keys, parents = _canonical_reps(1), []
-    else:
-        keys = [key for n in range(1, max_vertices) for key in _canonical_reps(n)]
-        parents = _canonical_reps(max_vertices - 1)
-    # Each list in up to 8 chunks per worker; one worker takes each list whole.
-    chunks = 8 * workers if workers > 1 else 1
-    jobs = []
-    for scan, items in ((_scan_chunk, keys), (_scan_parents, parents)):
-        size = max(1, -(-len(items) // chunks))
-        jobs.extend(
-            (scan, (predicate, ring, items[i:i + size])) for i in range(0, len(items), size)
-        )
+    # Each order in up to 8 chunks per worker; one worker takes each order whole.
+    jobs = _scan_jobs(predicate, ring, max_vertices, 8 * workers if workers > 1 else 1)
     if workers > 1:
+        # The lower orders are generated here before the pool takes the chunks.
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_run_job, jobs)
+            parts = pool.map(_run_job, list(jobs))
     else:
         parts = [_run_job(job) for job in jobs]
     examined = sum(p[0] for p in parts)

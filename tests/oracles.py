@@ -9,8 +9,9 @@ class and deduplicating through one set per order, automorphism groups and
 their orbits on vertex subsets from all n! permutations, greedy collapse by
 rescanning every face at each step, the graded dimensions of the
 exterior face ring modulo the vertex sum from ranks in the clique basis,
-flag-complex faces from every vertex subset, and induced-pattern search
-that scans every vertex at each step.
+flag-complex faces from every vertex subset, induced-pattern search
+that scans every vertex at each step, and the canonical search with full
+refinement passes and orbits rebuilt for every branch.
 Keep these free of bbraag internals beyond the public Graph accessors.
 """
 
@@ -279,6 +280,116 @@ def seen_set_canonical_reps(max_n, canon_key):
                 seen.add(_g6.encode(n, canon_key(n, grown)))
         reps[n] = sorted(seen)
     return reps
+
+
+def reference_search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
+    """The pure canonical search as it was before incremental refinement.
+
+    Returns the canonical key and the automorphisms found at equal-key
+    leaves.  Every refinement pass tries every cell as a splitter and every
+    orbit test rebuilds the orbits from scratch; the library's search must
+    return the same key and the same automorphisms in the same order.
+    """
+    if n <= 1:
+        return 0, []
+    adj = tuple(adj)
+
+    state = {"best": None, "perm": None}
+    autos: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def refine(parts):
+        parts = list(parts)
+        while True:
+            for splitter in list(parts):
+                smask = 0
+                for v in splitter:
+                    smask |= 1 << v
+                new_parts = []
+                changed = False
+                for cell in parts:
+                    if len(cell) == 1:
+                        new_parts.append(cell)
+                        continue
+                    groups: dict[int, list[int]] = {}
+                    for v in cell:
+                        groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                    if len(groups) == 1:
+                        new_parts.append(cell)
+                    else:
+                        changed = True
+                        for count in sorted(groups):
+                            new_parts.append(tuple(groups[count]))
+                parts = new_parts
+                if changed:
+                    break
+            else:
+                return parts
+
+    def leaf_key(perm):
+        key = 0
+        for j in range(1, n):
+            row = adj[perm[j]]
+            for i in range(j):
+                key = (key << 1) | ((row >> perm[i]) & 1)
+        return key
+
+    def orbit_blocked(v, tried):
+        usable = [a for a in autos if all(a[p] == p for p in prefix)]
+        if not usable:
+            return False
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a in usable:
+            for x in range(n):
+                rx, ry = find(x), find(a[x])
+                if rx != ry:
+                    parent[rx] = ry
+        rv = find(v)
+        return any(find(u) == rv for u in tried)
+
+    def search(parts):
+        parts = refine(parts)
+        target = -1
+        for idx, cell in enumerate(parts):
+            if len(cell) > 1:
+                target = idx
+                break
+        if target < 0:
+            perm = [cell[0] for cell in parts]
+            key = leaf_key(perm)
+            best = state["best"]
+            if best is None or key < best:
+                state["best"] = key
+                state["perm"] = perm
+            elif key == best:
+                a = [0] * n
+                bp = state["perm"]
+                for i in range(n):
+                    a[bp[i]] = perm[i]
+                autos.append(tuple(a))
+            return
+        cell = parts[target]
+        head = parts[:target]
+        tail = parts[target + 1:]
+        tried: list[int] = []
+        for v in cell:
+            if tried and orbit_blocked(v, tried):
+                continue
+            tried.append(v)
+            child = head + [(v,), tuple(u for u in cell if u != v)] + tail
+            prefix.append(v)
+            search(child)
+            prefix.pop()
+
+    search([tuple(range(n))])
+    return state["best"], autos
 
 
 def brute_automorphisms(n, adj) -> list[tuple[int, ...]]:

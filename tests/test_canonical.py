@@ -10,6 +10,7 @@ from oracles import (
     brute_automorphisms,
     brute_isomorphic,
     labeled_graphs,
+    reference_search,
     seen_set_canonical_reps,
     subset_orbits,
 )
@@ -101,6 +102,15 @@ def test_backends_match_reference(name, module_name):
         assert module.canon_key(n, tuple(adj)) == _canon_py.canon_key(n, tuple(adj))
 
 
+def relabeled(rng, n, adj):
+    p = list(range(n))
+    rng.shuffle(p)
+    out = [0] * n
+    for i in range(n):
+        out[p[i]] = sum(1 << p[j] for j in _bits(adj[i]))
+    return out
+
+
 def automorphism_cases():
     """Every connected graph on at most 6 vertices, randomly relabeled, plus K_m, C_m and stars."""
     rng = random.Random(5)
@@ -108,12 +118,7 @@ def automorphism_cases():
     for m in range(1, 7):
         for key in reps[m]:
             n, adj = _g6.decode(key)
-            p = list(range(n))
-            rng.shuffle(p)
-            relabeled = [0] * n
-            for i in range(n):
-                relabeled[p[i]] = sum(1 << p[j] for j in _bits(adj[i]))
-            yield n, relabeled
+            yield n, relabeled(rng, n, adj)
         yield m, complete_graph(m).adj
         yield m, star_graph(m - 1).adj
         if m >= 3:
@@ -123,6 +128,43 @@ def automorphism_cases():
 def test_automorphism_generators_against_brute_force():
     for n, adj in automorphism_cases():
         group = brute_automorphisms(n, adj)
-        generators = _canon_py.automorphism_generators(n, adj)
+        generators = _canon_py.canonical_search(n, adj)[1]
         assert set(generators) <= set(group) - {tuple(range(n))}
         assert subset_orbits(n, generators) == subset_orbits(n, group, closed=True), (n, adj)
+
+
+def search_cases():
+    """Every connected graph with v <= 7 three times relabeled, K_n and C_n for
+    n <= 10, the empty and one-vertex graphs, and 300 seeded G(n, p)."""
+    from bbraag.enumeration import _canonical_reps
+
+    rng = random.Random(13)
+    for m in range(1, 8):
+        for key in _canonical_reps(m):
+            n, adj = _g6.decode(key)
+            for _ in range(3):
+                yield n, relabeled(rng, n, adj)
+    for m in range(0, 11):
+        yield m, complete_graph(m).adj
+        if m >= 3:
+            yield m, cycle_graph(m).adj
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.2, 0.5, 0.8))
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        yield n, adj
+
+
+def test_canonical_search_matches_frozen_reference():
+    # Same key and the same automorphisms in the same order as the search
+    # that tried every cell in every refinement pass.
+    cases = 0
+    for n, adj in search_cases():
+        assert _canon_py.canonical_search(n, adj) == reference_search(n, adj), (n, adj)
+        cases += 1
+    assert cases == 3 * 996 + 11 + 8 + 300

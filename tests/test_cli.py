@@ -287,6 +287,7 @@ def test_scan_bad_ring_exit_3(capsys, monkeypatch):
         raise AssertionError("graphs generated before the ring was checked")
 
     monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
+    monkeypatch.setattr(bbraag.enumeration, "_children", no_generation)
     for predicate in ("acyclic_dim_bound", "turan_nonneg"):
         for ring in ("Fp:4", "R", "Fp:1_3"):
             code, _, err = run(
@@ -302,6 +303,7 @@ def test_scan_capacity_above_bound_exit_4(capsys, monkeypatch):
         raise AssertionError("graphs generated before the capacity was checked")
 
     monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
+    monkeypatch.setattr(bbraag.enumeration, "_children", no_generation)
     for max_v, capacity in (("10", "10"), ("3", "10"), ("5", "4")):
         code, _, err = run(
             capsys, "scan", "turan_nonneg", "--max-v", max_v, "--capacity", capacity

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 import bbraag.enumeration as enumeration
-from bbraag import _g6, kernel
+from bbraag import _canon_py, _g6, kernel
 from bbraag.errors import CapacityError, DomainError
 from bbraag.graphs import canonical_form, is_connected
 from bbraag.enumeration import (
@@ -58,25 +59,58 @@ def assert_canonical_and_connected(n, keys):
         assert mask_connected(n, adj), key
 
 
+def count_searches(monkeypatch):
+    """Count the calls of both search entry points, kernel.canon_key and the
+    parent search _canon_py.canonical_search, in one counter."""
+    calls = [0]
+
+    def counting(real):
+        def wrapper(n, adj):
+            calls[0] += 1
+            return real(n, adj)
+
+        return wrapper
+
+    monkeypatch.setattr(kernel, "canon_key", counting(kernel.canon_key))
+    monkeypatch.setattr(_canon_py, "canonical_search", counting(_canon_py.canonical_search))
+    return calls
+
+
 def test_generation_kernel_budget_v8(monkeypatch):
     # Canonical deletion, pruned by parent orbits and twin rivals, takes
-    # 15,929 calls for n <= 8.
-    calls = 0
-    real = kernel.canon_key
-
-    def counting(n, adj):
-        nonlocal calls
-        calls += 1
-        return real(n, adj)
-
+    # 15,929 canon_key calls and 996 parent searches for n <= 8.
     enumeration._reps_cache.clear()
-    monkeypatch.setattr(kernel, "canon_key", counting)
+    calls = count_searches(monkeypatch)
     reps = {n: _canonical_reps(n) for n in range(1, 9)}
-    assert calls <= 17_000
+    assert calls[0] <= 17_000
     monkeypatch.undo()
     assert [len(reps[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11_117]
     for n, keys in reps.items():
         assert_canonical_and_connected(n, keys)
+
+
+# sha256 of b"\n".join(_canonical_reps(n)), from the generator before the
+# one-search-per-parent walk.
+REPS_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "bf158ea8c37a3ec7a9b1386892d1a29fd3bf86878fb29262e467775aba813399",
+    5: "5de92424af99346fc74681d00325ca422296d37d362efa7b7c982b2dbfbdfde3",
+    6: "866bd05423740958859b20b1a746819e1bb517ade79aca24b6690a9de8576eae",
+    7: "164f509aa84aeb89ed6c6009c5349e8173aa2d45af1ba3dcc3205a5b9c3ddf88",
+    8: "9c399dc9ca82ca18c2f0d8ccf4268ccaa2dacd7d301c21f4364d37e0b727ad6f",
+    9: "06cf76d2b3df710e67a3398b7b4b5695b4e62b85572bb0a77dcf4428e5713258",
+}
+
+
+def reps_sha256(n):
+    return hashlib.sha256(b"\n".join(_canonical_reps(n))).hexdigest()
+
+
+def test_generation_output_pinned():
+    for n in range(1, 9):
+        assert reps_sha256(n) == REPS_SHA256[n], n
 
 
 def test_children_are_one_per_class_of_the_next_order():
@@ -85,7 +119,7 @@ def test_children_are_one_per_class_of_the_next_order():
     for n in range(1, 8):
         keys = []
         for parent in _canonical_reps(n):
-            for grown, key in enumerate_children(parent):
+            for grown, key in enumerate_children(_g6.decode(parent)[1]):
                 canonical = _g6.encode(n + 1, kernel.canon_key(n + 1, grown))
                 assert key in (None, canonical)
                 keys.append(canonical)
@@ -94,21 +128,15 @@ def test_children_are_one_per_class_of_the_next_order():
 
 
 def test_scan_kernel_budget_v8(monkeypatch):
-    # The streamed top order keys only its 1,100 tied children: 5,906 calls
-    # in all, where keying every child made 15,929.
-    calls = 0
-    real = kernel.canon_key
-
-    def counting(n, adj):
-        nonlocal calls
-        calls += 1
-        return real(n, adj)
-
+    # Each class below the top order is searched once, as a parent (996),
+    # and the top order keys only the tied children whose invariants meet:
+    # 4,816 searches in all, where keying the lower orders and decoding them
+    # again as parents made 6,902.
     monkeypatch.setattr(enumeration, "_reps_cache", {})
-    monkeypatch.setattr(kernel, "canon_key", counting)
+    calls = count_searches(monkeypatch)
     rep = scan_property("acyclic_dim_bound", 8)
     assert (rep.examined, rep.applicable, rep.failed) == (12_113, 4_294, 0)
-    assert calls <= 6_500
+    assert calls[0] <= 5_000
 
 
 def test_subset_images_map_every_subset():
@@ -133,7 +161,7 @@ def test_no_rival_test_for_a_twin_of_v(monkeypatch):
     monkeypatch.setattr(enumeration, "_delete", recording)
     for n in range(1, 7):
         for key in _canonical_reps(n):
-            enumeration._canonical_children(key)
+            list(enumerate_children(_g6.decode(key)[1]))
     twins = [
         (adj, w) for adj, w in deleted
         if adj[w] & ~(1 << (len(adj) - 1)) == adj[-1] & ~(1 << w)
@@ -146,6 +174,7 @@ def test_nine_vertex_classes():
     keys = _canonical_reps(9)
     assert len(keys) == 261_080  # OEIS A001349
     assert_canonical_and_connected(9, keys)
+    assert reps_sha256(9) == REPS_SHA256[9]
 
 
 def test_capacity_bounds():
@@ -166,6 +195,7 @@ def test_capacity_cannot_be_raised(monkeypatch):
         raise AssertionError("graphs generated before the capacity was checked")
 
     monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
+    monkeypatch.setattr(bbraag.enumeration, "_children", no_generation)
     with pytest.raises(CapacityError):
         connected_graph_count(10, capacity=10)
     with pytest.raises(CapacityError):
@@ -208,13 +238,11 @@ def test_scan_report_invariants():
 
 def test_scan_order_independence():
     # a permuted processing order must merge to the identical report
-    keys = []
-    for n in range(1, 6):
-        keys.extend(_canonical_reps(n))
+    items = [(_g6.decode(key)[1], key) for n in range(1, 6) for key in _canonical_reps(n)]
     rng = random.Random(5)
-    shuffled = keys[:]
+    shuffled = items[:]
     rng.shuffle(shuffled)
-    base = _scan_chunk(("turan_nonneg", "Z", keys))
+    base = _scan_chunk(("turan_nonneg", "Z", items))
     cut = len(shuffled) // 3
     parts = [
         _scan_chunk(("turan_nonneg", "Z", shuffled[:cut])),
@@ -232,8 +260,8 @@ def test_scan_workers_match_sequential():
 
 def reference_scan(name, max_v, ring="Z"):
     """Every class through _scan_chunk from its canonical key, in one chunk."""
-    keys = [key for n in range(1, max_v + 1) for key in _canonical_reps(n)]
-    examined, applicable, passed, failing = _scan_chunk((name, ring, keys))
+    items = [(_g6.decode(key)[1], key) for n in range(1, max_v + 1) for key in _canonical_reps(n)]
+    examined, applicable, passed, failing = _scan_chunk((name, ring, items))
     return enumeration.ScanReport(
         name, ring, max_v, examined, applicable, passed, tuple(sorted(failing))
     )
@@ -405,24 +433,22 @@ def test_scan_ring_normalized():
 
 def test_dim_bound_scan_builds_faces_only_when_euler_is_inconclusive(monkeypatch):
     """The scan builds flag complexes only for graphs whose core has several
-    vertices and Euler characteristic 1."""
+    vertices and Euler characteristic 1.  Scanned graphs carry the labels of
+    the generation walk, so the classes are compared by canonical form."""
     import bbraag.invariants as inv
     from bbraag.homology import flag_complex
-
-    def skeleton(labels, edges):
-        return labels, sorted(tuple(sorted(e)) for e in edges)
 
     want = []
     for n in range(1, 8):
         for g in connected_graphs(n):
             c = flag_complex(g)
             if c.core.face_count(0) > 1 and c.euler_characteristic() == 1:
-                want.append(skeleton(g.labels, g.edges()))
+                want.append(canonical_form(g))
     built = []
     real = inv.flag_complex
 
     def recording(g):
-        built.append(skeleton(g.labels, g.edges()))
+        built.append(canonical_form(g))
         return real(g)
 
     monkeypatch.setattr(inv, "flag_complex", recording)
