@@ -444,10 +444,13 @@ def _scan_jobs(predicate: str, ring: str, max_vertices: int, chunks: int):
         for i in range(0, len(items), size):
             yield scan, (predicate, ring, items[i:i + size])
 
-    level = [([0], None)]  # K1, the class of order 1
+    # A held order has at most CAPACITY - 1 = 8 vertices, so each adjacency mask
+    # fits in a byte: each graph's masks are packed into bytes, not held as a list
+    # of ints (bytes() raises on a mask that does not fit).
+    level = [(b"\x00", None)]  # K1, the class of order 1
     yield from split(_scan_chunk, level)
     for _ in range(2, max_vertices):
-        level = list(_grow(adj for adj, _ in level))
+        level = [(bytes(adj), key) for adj, key in _grow(adj for adj, _ in level)]
         yield from split(_scan_chunk, level)
     if max_vertices > 1:
         yield from split(_scan_parents, [adj for adj, _ in level])

@@ -10,11 +10,12 @@ eliminated once, over Z, into its invariant factors: sparse unit pivots
 first, then Smith normal form of what is left.  Every ring reads its ranks off
 those factors; over F_p the rank counts the factors p does not divide.
 
-The core here is read off the faces, so complexes that are not flag
-complexes reduce correctly.  For the flag complex of a graph the same core
-comes from dismantling the graph (:func:`bbraag.graphs.dismantle`: v is
-dominated by u when N[v] lies inside N[u]) before any face exists; that is how
-:class:`bbraag.invariants.Analysis` decides acyclicity.
+A flag complex takes its core from its graph: in the 1-skeleton, v is
+dominated by u when N[v] lies inside N[u], so :func:`bbraag.graphs.dismantle`
+finds the same deletions without reading a face (Barmak-Minian 2012), and the
+core is the full subcomplex on the vertices left.  Only a complex that
+:func:`flag_complex` did not build is reduced by the face rule, which reads its
+facets, so complexes that are not flag complexes reduce correctly too.
 
 :func:`flag_complex` makes the (k+1)-cliques from the k-cliques, each
 extended in order by its common neighbours above its largest vertex, so every
@@ -29,17 +30,20 @@ and a heap of ids.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
 from typing import Optional
 
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, _mask, clique_levels
+from .graphs import Dismantling, Graph, _bits, _mask, clique_levels, dismantle
 
 IntegerMatrix = list[list[int]]
 
 DEFAULT_ENTRY_LIMIT = 10**100
+# Lines holding a unit entry that one pivot search of _elimination_factors reads
+# before it takes the cheapest unit seen; a few lines pick nearly as well as all (Zlatev 1980).
+_UNIT_LINES = 2
 # Most faces in one dimension of a core whose homology is computed (ranks are cubic).
 HOMOLOGY_FACE_LIMIT = 400
 
@@ -97,10 +101,15 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Faces per dimension, as sorted index tuples into ``labels``."""
+    """Faces per dimension, as sorted index tuples into ``labels``.
+
+    A flag complex also carries its graph's ``dismantling``, which gives its
+    strong collapse; equality and :meth:`to_json` ignore it.
+    """
 
     labels: tuple[str, ...]
     faces: tuple[tuple[tuple[int, ...], ...], ...]
+    dismantling: Optional[Dismantling] = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -119,8 +128,17 @@ class SimplicialComplex:
 
     @cached_property
     def strong_collapse(self) -> StrongCollapse:
-        """Computed once per complex, so homology in every ring shares one core."""
-        return _strong_collapse(self)
+        """Computed once per complex, so homology in every ring shares one core.
+
+        A flag complex keeps the vertices its graph's dismantling left; any
+        other complex is reduced by the face rule.
+        """
+        core = self.dismantling
+        if core is None:
+            return _strong_collapse(self)
+        if not core.pairs:
+            return StrongCollapse((), None)
+        return StrongCollapse(core.pairs, _full_subcomplex(self, core.alive))
 
     @cached_property
     def boundary_factors(self) -> tuple[tuple[int, ...], ...]:
@@ -143,13 +161,16 @@ class SimplicialComplex:
         }
 
 
-def flag_complex(g: Graph) -> SimplicialComplex:
+def flag_complex(g: Graph, core: Optional[Dismantling] = None) -> SimplicialComplex:
     """Clique complex of ``g``: d-faces are the (d+1)-cliques.
 
     Built level by level by :func:`bbraag.graphs.clique_levels`, whose order
     (lexicographic in the vertex indices) is already the sorted face order.
+    The complex carries ``core``, the dismantling of ``g`` when the caller has
+    it already, else one made here.
     """
-    return SimplicialComplex(g.labels, tuple(map(tuple, clique_levels(g.n, g.adj))))
+    faces = tuple(map(tuple, clique_levels(g.n, g.adj)))
+    return SimplicialComplex(g.labels, faces, dismantle(g) if core is None else core)
 
 
 @dataclass(frozen=True)
@@ -169,6 +190,8 @@ class StrongCollapse:
 
 def _strong_collapse(c: SimplicialComplex) -> StrongCollapse:
     """Delete dominated vertices, lowest index first, until none is dominated.
+
+    This is the face rule, for complexes that :func:`flag_complex` did not build.
 
     Vertex v is dominated by u != v when every facet (maximal face) containing
     v contains u; the lowest such u is recorded.  Deleting v then keeps the
@@ -403,12 +426,14 @@ def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tup
     """Invariant factors of the integer matrix with these (row, col, value) entries.
 
     Unit pivots go first, sparsely: rows are dicts, each column keeps its set
-    of rows, and each pivot is a unit entry of lowest Markowitz cost
-    (|row| - 1) * (|col| - 1), found by searching rows and columns in order of
-    length (Duff-Reid).  Row operations clear the pivot's column; column
-    operations that change nothing else then clear its row, so it is struck
-    out with a factor 1.  The block left with no unit entry goes to
-    :func:`smith_normal_form`.  Entries beyond ``entry_limit`` raise
+    of rows, and each pivot is a unit entry of low Markowitz cost
+    (|row| - 1) * (|col| - 1).  Rows and columns are searched in order of
+    length (Duff-Reid), and the search stops at the first cost no unseen entry
+    can beat, or after :data:`_UNIT_LINES` lines that hold a unit entry, with
+    the cheapest unit seen (Zlatev 1980).  Row operations clear the pivot's
+    column; column operations that change nothing else then clear its row, so
+    it is struck out with a factor 1.  The block left with no unit entry goes
+    to :func:`smith_normal_form`.  Entries beyond ``entry_limit`` raise
     CapacityError in both phases.
     """
     rows: dict[int, dict[int, int]] = {}
@@ -427,15 +452,19 @@ def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tup
             by_len[side].setdefault(new, set()).add(i)
 
     def unit_pivot() -> Optional[tuple[int, int]]:
-        best, pivot = len(rows) * len(cols), None
+        best, pivot, found = len(rows) * len(cols), None, 0
         for k in sorted(by_len[0].keys() | by_len[1].keys()):
             floor = (k - 1) ** 2  # no entry not yet seen has a row or a column shorter than k
-            for r, c in chain(((r, c) for c in by_len[1].get(k, ()) for r in cols[c]),
-                              ((r, c) for r in by_len[0].get(k, ()) for c in rows[r])):
-                cost = (len(rows[r]) - 1) * (len(cols[c]) - 1)
-                if cost < best and abs(rows[r][c]) == 1:
-                    best, pivot = cost, (r, c)
-                if best <= floor:
+            # the unit entries of each column of length k, then of each such row
+            for units in chain(
+                ([(r, c) for r in cols[c] if abs(rows[r][c]) == 1] for c in by_len[1].get(k, ())),
+                ([(r, c) for c, x in rows[r].items() if abs(x) == 1] for r in by_len[0].get(k, ())),
+            ):
+                for r, c in units:
+                    cost = (len(rows[r]) - 1) * (len(cols[c]) - 1)
+                    if cost < best:
+                        best, pivot = cost, (r, c)
+                if best <= floor or units and (found := found + 1) == _UNIT_LINES:
                     return pivot
         return pivot
 

@@ -66,7 +66,7 @@ class Analysis:
     Acyclicity is decided on the dismantled graph (``core``), whose flag
     complex is the strong-collapse core of the full one: most graphs are
     settled by the core's size or its clique Euler characteristic before any
-    face is built.
+    face is built.  The flag complex, when it is built, reduces to that core.
     """
 
     def __init__(self, g: Graph):
@@ -75,7 +75,8 @@ class Analysis:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        return flag_complex(self.graph)
+        """The flag complex, handed ``core`` so the graph is dismantled once."""
+        return flag_complex(self.graph, self.core)
 
     @cached_property
     def core(self) -> Dismantling:

@@ -4,8 +4,9 @@ Everything here recomputes results by a different route than the library:
 permutation-based isomorphism, labeled brute-force graph counting, Fraction
 Gaussian elimination for homology, gcd-of-minors for invariant factors,
 homology of the full complex with no core reduction, vertex domination read
-off the faces, a from-scratch graph6 reader, generation by extending every
-class and deduplicating through one set per order, automorphism groups and
+off the faces and the strong collapse by that face rule, a from-scratch
+graph6 reader, generation by extending every class and deduplicating
+through one set per order, automorphism groups and
 their orbits on vertex subsets from all n! permutations, greedy collapse by
 rescanning every face at each step, the graded dimensions of the
 exterior face ring modulo the vertex sum from ranks in the clique basis,
@@ -257,6 +258,74 @@ def hilbert_product(dims, h_u) -> list[int]:
 def dominates(faces, u, v) -> bool:
     """Every face (a set of labels) containing v stays a face when u is added."""
     return all(f | {u} in faces for f in faces if v in f)
+
+
+def _bits(mask):
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
+def _mask(face) -> int:
+    return sum(1 << i for i in face)
+
+
+def face_strong_collapse(c):
+    """Delete dominated vertices, lowest index first, until none is dominated.
+
+    The face rule, read off the facets of ``c`` (faces as index tuples into
+    ``c.labels``), never off a graph: v is dominated by u != v when every
+    facet containing v contains u, and the lowest such u is recorded.
+    Returns the (removed, dominator) label pairs and the mask of the vertices
+    left.
+    """
+    facets = _facets(c)
+    alive = sum(1 << f[0] for f in c.faces[0]) if c.faces else 0
+    pairs = []
+    while (hit := _dominated(facets, alive)) is not None:
+        v, u = hit
+        pairs.append((c.labels[v], c.labels[u]))
+        bit = 1 << v
+        alive ^= bit
+        # Facets without v stay maximal; no facet through v shrinks into another one
+        # through v, so a shrunk facet is dropped only when a facet without v holds it.
+        kept = [f for f in facets if not f & bit]
+        facets = kept + [
+            f ^ bit for f in facets if f & bit and all((f ^ bit) & ~g for g in kept)
+        ]
+    return tuple(pairs), alive
+
+
+def _dominated(facets: list[int], alive: int):
+    """The lowest dominated vertex and its lowest dominator, or None."""
+    for v in _bits(alive):
+        bit = 1 << v
+        common = alive
+        for f in facets:
+            if f & bit:
+                common &= f
+        others = common ^ bit
+        if others:
+            return v, (others & -others).bit_length() - 1
+    return None
+
+
+def _facets(c) -> list[int]:
+    """The maximal faces of ``c`` as vertex bitmasks."""
+    facets: list[int] = []
+    covered: set[int] = set()
+    for d in range(len(c.faces) - 1, -1, -1):
+        below: set[int] = set()
+        for face in c.faces[d]:
+            mask = _mask(face)
+            if mask not in covered:
+                facets.append(mask)
+            below.update(mask ^ (1 << i) for i in face)
+        covered = below
+    return facets
 
 
 def seen_set_canonical_reps(max_n, canon_key):

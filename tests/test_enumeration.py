@@ -447,9 +447,9 @@ def test_dim_bound_scan_builds_faces_only_when_euler_is_inconclusive(monkeypatch
     built = []
     real = inv.flag_complex
 
-    def recording(g):
+    def recording(g, *rest):
         built.append(canonical_form(g))
-        return real(g)
+        return real(g, *rest)
 
     monkeypatch.setattr(inv, "flag_complex", recording)
     rep = scan_property("acyclic_dim_bound", 7)

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from bbraag.errors import CapacityError, DomainError
-from bbraag.graphs import Graph, central_vertices, clique_euler, dismantle, is_connected
+from bbraag.graphs import Graph, central_vertices, clique_euler, is_connected
 from bbraag.homology import (
     HOMOLOGY_FACE_LIMIT,
     SimplicialComplex,
@@ -28,6 +28,7 @@ from bbraag.invariants import Analysis
 from oracles import (
     brute_flag_faces,
     dominates,
+    face_strong_collapse,
     fraction_rank,
     integer_diagonal,
     invariant_factors,
@@ -679,13 +680,19 @@ def small_graphs():
 
 
 def assert_dismantling_is_strong_collapse(g):
-    """The graph-level core against the face-based one of the flag complex."""
+    """The flag complex's core, with and without the Analysis's dismantling handed
+    over, and ``Analysis.core`` against the face rule of the oracle."""
     c = flag_complex(g)
-    core = dismantle(g)
-    assert core.pairs == c.strong_collapse.pairs, g
-    assert tuple(g.labels[i] for i in range(g.n) if core.alive >> i & 1) == c.core.labels
-    assert clique_euler(g.adj, core.alive) == c.core.euler_characteristic()
-    assert Analysis(g).dim == c.dim
+    pairs, alive = face_strong_collapse(c)
+    a = Analysis(g)
+    assert c.strong_collapse.pairs == a.complex.strong_collapse.pairs == pairs, g
+    assert (a.core.pairs, a.core.alive) == (pairs, alive), g
+    kept = {g.labels[i] for i in range(g.n) if alive >> i & 1}
+    for core in (c.core, a.complex.core):
+        assert core.labels == tuple(v for v in g.labels if v in kept), g
+        assert label_faces(core) == {f for f in label_faces(c) if f <= kept}, g
+    assert clique_euler(g.adj, alive) == c.core.euler_characteristic()
+    assert a.dim == c.dim
 
 
 def test_dismantling_matches_strong_collapse_v7():
@@ -722,16 +729,38 @@ def assert_boundary_factors(c: SimplicialComplex):
             assert sum(1 for f in factors if f % p) == modular_rank(mat, p), (d, p)
 
 
-def test_boundary_factors_against_oracle_v7():
+def record_snf_blocks(monkeypatch) -> list:
+    """Record (rows, columns, factors) of every block the unit pivots leave to SNF."""
+    import bbraag.homology
+
+    blocks = []
+    real = bbraag.homology.smith_normal_form
+
+    def recording(matrix, *args, **kwargs):
+        res = real(matrix, *args, **kwargs)
+        blocks.append((len(matrix), len(matrix[0]) if matrix else 0, res.factors))
+        return res
+
+    monkeypatch.setattr(bbraag.homology, "smith_normal_form", recording)
+    return blocks
+
+
+def test_boundary_factors_against_oracle_v7(monkeypatch):
+    blocks = record_snf_blocks(monkeypatch)
     # the full complexes, not their cores, so every boundary of every graph is eliminated
     for g in [g for n in range(1, 8) for g in connected_graphs(n)]:
         assert_boundary_factors(flag_complex(g))
+    # the limited pivot search still finds a unit wherever one is left
+    assert blocks and all(block == (0, 0, ()) for block in blocks)
+    blocks.clear()
     rp2 = flag_complex(projective_plane_poset_graph())
     assert_boundary_factors(rp2)
     assert rp2.boundary_factors[2].count(2) == 1  # the torsion, so F_2 sees what Q does not
+    assert [f for *_, factors in blocks for f in factors] == [2]
 
 
-def test_boundary_factors_on_large_random_cores():
+def test_boundary_factors_on_large_random_cores(monkeypatch):
+    blocks = record_snf_blocks(monkeypatch)
     sizes = []
     for seed, n, percent in ((0, 28, 42), (1, 30, 40), (2, 26, 50)):
         rng = random.Random(seed)
@@ -741,6 +770,7 @@ def test_boundary_factors_on_large_random_cores():
         assert_boundary_factors(core)
         sizes.append(max(core.face_count(d) for d in range(core.dim + 1)))
     assert all(150 <= k <= HOMOLOGY_FACE_LIMIT for k in sizes), sizes
+    assert blocks and all(block == (0, 0, ()) for block in blocks)
 
 
 def test_collapse_matches_rescanning_oracle():

@@ -452,6 +452,23 @@ def test_report_k3():
     assert rep.structure.graph.edge_count == 1
 
 
+def count_dismantlings(monkeypatch) -> list:
+    """Record every graph that is dismantled, by the Analysis or by flag_complex."""
+    import bbraag.homology
+    import bbraag.invariants
+
+    dismantled = []
+    real = bbraag.homology.dismantle
+
+    def counting(graph):
+        dismantled.append(graph)
+        return real(graph)
+
+    for module in (bbraag.homology, bbraag.invariants):
+        monkeypatch.setattr(module, "dismantle", counting)
+    return dismantled
+
+
 @pytest.mark.parametrize(
     "g",
     [gem_graph(), path_graph(5), cycle_graph(4), Graph("abcx", [("a", "b"), ("b", "c")])],
@@ -464,14 +481,15 @@ def test_report_builds_complex_and_homology_once_per_call(monkeypatch, g):
     complexes, rings, chordality = [], [], []
     real_complex, real_homology = inv.flag_complex, inv.reduced_homology
     real_chordal = bbraag.recognition.is_chordal
+    dismantled = count_dismantlings(monkeypatch)
 
     def counting_chordal(graph):
         chordality.append(graph)
         return real_chordal(graph)
 
-    def counting_complex(graph):
+    def counting_complex(graph, *rest):
         complexes.append(graph)
-        return real_complex(graph)
+        return real_complex(graph, *rest)
 
     def counting_homology(c, ring):
         rings.append(ring)
@@ -482,12 +500,22 @@ def test_report_builds_complex_and_homology_once_per_call(monkeypatch, g):
     for module in (inv, bbraag.recognition):
         monkeypatch.setattr(module, "is_chordal", counting_chordal)
     first = invariant_report(g, rings=("Z", "Q", "Fp:2"))
-    assert len(complexes) == len(chordality) == 1
+    assert len(complexes) == len(chordality) == len(dismantled) == 1
     assert sorted(rings) == ["Fp:2", "Q", "Z"]
     # no cache outlives a call: the same graph is analysed again
     assert invariant_report(g, rings=("Z", "Q", "Fp:2")) == first
-    assert len(complexes) == len(chordality) == 2
+    assert len(complexes) == len(chordality) == len(dismantled) == 2
     assert sorted(rings) == ["Fp:2", "Fp:2", "Q", "Q", "Z", "Z"]
+
+
+def test_homology_command_dismantles_once(monkeypatch, capsys):
+    from bbraag.cli import main
+    from bbraag.formats import format_graph6
+
+    dismantled = count_dismantlings(monkeypatch)
+    code = main(["homology", "--graph6", format_graph6(gem_graph()), "--ring", "Z", "--ring", "Q"])
+    assert code == 0 and "[Q]" in capsys.readouterr().out
+    assert len(dismantled) == 1
 
 
 def test_analysis_acyclic_matches_is_acyclic():
