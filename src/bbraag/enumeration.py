@@ -61,7 +61,7 @@ from typing import Callable, Iterator
 
 from . import _canon_py, _g6, kernel
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, _component_masks, blocks_at, cut_vertices, is_connected
+from .graphs import Graph, _bits, _component_masks, block_cut_tree, is_connected
 from .homology import normalize_ring
 from .invariants import INEQUALITIES, Analysis, koszul_hilbert_check, omega_identity_check
 from .recognition import is_droms, is_tree_of_droms, replay_tree_of_droms
@@ -276,17 +276,15 @@ def _pred_chordal_implies_acyclic(a: Analysis, ring: str) -> tuple[bool, bool]:
 
 
 def _every_block_droms(g: Graph) -> bool:
-    """Connected, and each piece left after splitting at cut vertices is Droms.
+    """Connected, and every block is Droms.
 
     This is the definition of a tree of Droms graphs, decided without the
     chordal, gem and hbar tests that :func:`is_tree_of_droms` runs.
     """
     if not is_connected(g):
         return False
-    cuts = cut_vertices(g)
-    if not cuts:
-        return is_droms(g).droms
-    return all(_every_block_droms(g.induced(b)) for b in blocks_at(g, cuts[0]).blocks)
+    tree = block_cut_tree(g)
+    return all(is_droms(g.induced(tree.names(b))).droms for b in tree.blocks)
 
 
 def _pred_tree_of_droms_equivalence(a: Analysis, ring: str) -> tuple[bool, bool]:

@@ -10,7 +10,7 @@ the structure queries and the canonical-labeling kernel fast without numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import _g6, kernel
 from .errors import CapacityError, DomainError
@@ -108,16 +108,11 @@ class Graph:
 
     def induced(self, subset: Iterable[str]) -> "Graph":
         """Induced subgraph; keeps this graph's relative vertex order."""
-        chosen = {self.index(v) for v in subset}
-        keep = [i for i in range(self.n) if i in chosen]
+        keep = sorted({self.index(v) for v in subset})
         mask = _mask(keep)
-        labels = [self.labels[i] for i in keep]
         pos = {i: k for k, i in enumerate(keep)}
-        adj = []
-        for i in keep:
-            row = self.adj[i] & mask
-            adj.append(_mask(pos[j] for j in _bits(row)))
-        return Graph.from_masks(labels, adj)
+        adj = [_mask(pos[j] for j in _bits(self.adj[i] & mask)) for i in keep]
+        return Graph.from_masks([self.labels[i] for i in keep], adj)
 
     def without(self, v: str) -> "Graph":
         return self.induced(set(self.labels) - {v})
@@ -138,27 +133,6 @@ def _mask(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
-
-
-def run_flat(call: Generator):
-    """Value of the recursive generator ``call``, run on an explicit stack.
-
-    A recursive function written as a generator yields each nested call (a
-    generator of the same kind) and is sent back its value, so a recursion
-    as deep as a long path costs heap, not Python stack frames.
-    """
-    stack = [call]
-    value = None
-    while stack:
-        try:
-            call = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(call)
-            value = None
-    return value
 
 
 # -- connectivity and separators ----------------------------------------------
@@ -198,21 +172,61 @@ def is_connected(g: Graph) -> bool:
 
 
 def cut_vertices(g: Graph) -> list[str]:
-    """Vertices whose removal disconnects ``g``; requires ``g`` connected.
+    """Vertices whose removal disconnects ``g``, sorted; requires ``g`` connected."""
+    tree = block_cut_tree(g)
+    return list(tree.names(tree.cuts))
 
-    One depth-first search from vertex 0 with low-links (Hopcroft-Tarjan),
-    run on an explicit stack so that long paths do not recurse: a non-root v
-    is a cut vertex when some child's subtree reaches no vertex above v, the
-    root when it has two children.
+
+@dataclass(frozen=True)
+class BlockCutTree:
+    """The blocks of a connected graph as vertex masks, with its cut vertices.
+
+    Bit r is ``labels[r]``, the r-th smallest label; ``adj`` is renumbered so.
+    Rooted at rank 0, ``below[v]`` has each block hanging below v with all under it.
     """
+
+    labels: tuple[str, ...]
+    rank: dict[str, int]
+    adj: tuple[int, ...]
+    whole: int
+    blocks: tuple[int, ...]
+    cuts: int
+    below: tuple[tuple[int, ...], ...]
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.labels[r] for r in _bits(mask))
+
+    def parts(self, piece: int, v: int) -> list[int]:
+        """The components of piece - v, each plus v, by smallest label other than v.
+
+        ``piece`` is a connected union of blocks and v one of its cut vertices.
+        A part's cut vertices are the piece's cut vertices in it, but v.
+        """
+        bit = 1 << v
+        out = [part for part in (sub & piece for sub in self.below[v]) if part != bit]
+        rest = piece ^ sum(part ^ bit for part in out)  # the parts below v meet only at v
+        if rest != bit:
+            out.append(rest)
+        return sorted(out, key=lambda part: (part ^ bit) & -(part ^ bit))
+
+
+def block_cut_tree(g: Graph) -> BlockCutTree:
+    """One depth-first search with low-links and a vertex stack (Hopcroft-Tarjan).
+
+    On an explicit stack, so long paths do not recurse.  When a child w of v
+    finishes with low[w] >= disc[v], the stack down to w plus v is a block.
+    """
+    n = g.n
     if not is_connected(g):
-        raise DomainError("cut_vertices needs a connected graph")
-    disc = [-1] * g.n
-    low = [0] * g.n
+        raise DomainError("block_cut_tree needs a connected graph")
+    order = sorted(range(n), key=g.labels.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    adj = tuple(_mask(rank[j] for j in _bits(g.adj[i])) for i in order)
+    disc, low, subtree = [-1] * n, [0] * n, [1 << r for r in range(n)]
+    blocks, below = [], [[] for _ in range(n)]  # below[v]: as in BlockCutTree
     disc[0] = clock = 0
-    stack = [(0, -1, g.adj[0])]  # vertex, its parent, neighbours not yet tried
-    cuts = set()
-    root_children = 0
+    stack = [(0, -1, adj[0])]  # vertex, its parent, neighbours not yet tried
+    path = [0]  # vertices found and in no block yet
     while stack:
         v, parent, todo = stack[-1]
         if todo:
@@ -221,43 +235,29 @@ def cut_vertices(g: Graph) -> list[str]:
             if disc[w] < 0:
                 clock += 1
                 disc[w] = low[w] = clock
-                stack.append((w, v, g.adj[w]))
+                path.append(w)
+                stack.append((w, v, adj[w]))
             elif w != parent:
                 low[v] = min(low[v], disc[w])
             continue
         stack.pop()
-        if parent > 0:
-            low[parent] = min(low[parent], low[v])
-            if low[v] >= disc[parent]:
-                cuts.add(parent)
-        elif parent == 0:
-            root_children += 1
-    if root_children > 1:
-        cuts.add(0)
-    return sorted(g.labels[i] for i in cuts)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    cut_vertex: str
-    blocks: tuple[tuple[str, ...], ...]
-
-
-def blocks_at(g: Graph, v: str) -> BlockDecomposition:
-    """Split ``g`` at cut vertex ``v``: one block per component of ``g - v``."""
-    i = g.index(v)
-    if not is_connected(g):
-        raise DomainError("blocks_at needs a connected graph")
-    rest = ((1 << g.n) - 1) & ~(1 << i)
-    comps = [_bits_sorted(g, m) for m in _component_masks(g.n, g.adj, rest)]
-    if len(comps) < 2:
-        raise DomainError(f"{v!r} is not a cut vertex")
-    comps.sort(key=lambda c: c[0])
-    return BlockDecomposition(v, tuple(tuple(sorted(c + (v,))) for c in comps))
-
-
-def _bits_sorted(g: Graph, mask: int) -> tuple[str, ...]:
-    return tuple(sorted(g.labels[i] for i in _bits(mask)))
+        if parent < 0:
+            continue
+        subtree[parent] |= subtree[v]
+        low[parent] = min(low[parent], low[v])
+        if low[v] >= disc[parent]:
+            block, x = 1 << parent, -1
+            while x != v:
+                x = path.pop()
+                block |= 1 << x
+            blocks.append(block)
+            below[parent].append(subtree[v] | 1 << parent)
+    labels = tuple(g.labels[i] for i in order)
+    cuts = _mask(v for v in range(n) if len(below[v]) > (v == 0))
+    return BlockCutTree(
+        labels, {v: r for r, v in enumerate(labels)}, adj, subtree[0],
+        tuple(blocks) or (1,), cuts, tuple(map(tuple, below)),  # one vertex is one block
+    )
 
 
 def central_vertices(g: Graph) -> list[str]:

@@ -19,21 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import CapacityError, DomainError, NotSupportedError
 from .formats import format_graph6
 from .graphs import (
+    BlockCutTree,
     Dismantling,
     Graph,
-    blocks_at,
+    _bits,
+    block_cut_tree,
     central_vertices,
     clique_euler,
     clique_number,
-    cut_vertices,
     dismantle,
     is_connected,
-    run_flat,
 )
 from .homology import (
     CollapseResult,
@@ -90,6 +90,10 @@ class Analysis:
     @cached_property
     def collapse(self) -> CollapseResult:
         return collapse_to_point(self.complex)
+
+    @cached_property
+    def block_cut_tree(self) -> BlockCutTree:
+        return block_cut_tree(self.graph)
 
     @cached_property
     def chordality(self) -> ChordalityResult:
@@ -273,8 +277,8 @@ def subgroups_raag(g: GraphOrAnalysis) -> SubgroupsRaagResult:
 
 # -- structure graph -------------------------------------------------------------------
 
-# Deepest nesting of splits in a structure derivation; its replay and JSON
-# rendering take about two stack frames per split (P_500 nests 400).
+# Deepest nesting of splits in a structure derivation; deriving it takes one
+# stack frame per split and rendering its JSON two (P_500 nests 400).
 STRUCTURE_DEPTH_LIMIT = 400
 
 
@@ -335,50 +339,57 @@ def bb_structure_graph(g: GraphOrAnalysis) -> StructureGraph:
             "no central vertex and not a tree of Droms graphs "
             f"(obstruction {witness.pattern} on {list(witness.vertices)})"
         )
-    derivation = run_flat(_derive_structure(g))
-    return StructureGraph(replay_structure(g, derivation), derivation)
+    tree = a.block_cut_tree
+    derivation = _derive_structure(tree, tree.whole, tree.cuts)
+    return StructureGraph(replay_structure(a, derivation), derivation)
 
 
-def _derive_structure(g: Graph, depth: int = 0) -> Generator:
+def _derive_structure(tree: BlockCutTree, piece: int, cuts: int, depth: int = 0) -> Derivation:
     """Strip a central vertex if there is one, else split at the smallest cut vertex.
 
-    Run by :func:`run_flat`.  The replay and the JSON rendering of the log
-    recurse once per nested split, so a split nested deeper than
-    :data:`STRUCTURE_DEPTH_LIMIT` raises CapacityError.
+    ``piece`` is a mask of ``tree`` and ``cuts`` its cut vertices.  This and
+    the JSON rendering of the log recurse once per nested split, so a split
+    nested deeper than :data:`STRUCTURE_DEPTH_LIMIT` raises CapacityError.
     """
-    centrals = central_vertices(g)
-    if centrals:
-        return ConeStrip(centrals[0])
+    # a central vertex of a piece with cut vertices is its one cut vertex
+    for r in _bits(0 if cuts & (cuts - 1) else cuts or piece):
+        if piece & ~tree.adj[r] == 1 << r:
+            return ConeStrip(tree.labels[r])
     if depth == STRUCTURE_DEPTH_LIMIT:
         raise CapacityError(
             f"structure derivation may not nest more than {STRUCTURE_DEPTH_LIMIT} splits"
         )
-    cut = cut_vertices(g)[0]
+    v = cuts & -cuts
     parts = []
-    for b in blocks_at(g, cut).blocks:
-        parts.append((yield _derive_structure(g.induced(b), depth + 1)))
-    return FreeSplit(cut, tuple(parts))
+    for part in tree.parts(piece, v.bit_length() - 1):
+        parts.append(_derive_structure(tree, part, cuts & part & ~v, depth + 1))
+    return FreeSplit(tree.labels[v.bit_length() - 1], tuple(parts))
 
 
 def replay_structure(g: GraphOrAnalysis, derivation: Derivation) -> Graph:
     """Re-run a derivation log against ``g``; must reproduce the claimed graph."""
-    g = _analysis(g).graph
-    if isinstance(derivation, ConeStrip):
-        if derivation.apex not in central_vertices(g):
-            raise DomainError(f"replay: {derivation.apex!r} is not central")
-        return g.without(derivation.apex)
-    if derivation.cut not in cut_vertices(g):
-        raise DomainError(f"replay: {derivation.cut!r} is not a cut vertex")
-    blocks = blocks_at(g, derivation.cut).blocks
-    if len(blocks) != len(derivation.parts):
-        raise DomainError("replay: block count mismatch")
-    labels: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for k, (block, part) in enumerate(zip(blocks, derivation.parts)):
-        piece = replay_structure(g.induced(block), part)
-        piece = piece.relabeled({v: f"{k}:{v}" for v in piece.labels})
-        labels.extend(piece.labels)
-        edges.extend(piece.edges())
+    a = _analysis(g)
+    tree = a.block_cut_tree
+    labels, edges = [], []
+    todo = [(tree.whole, tree.cuts, derivation, "")]  # (piece, its cut vertices, log, prefix)
+    while todo:
+        piece, cuts, step, prefix = todo.pop()
+        if isinstance(step, ConeStrip):
+            r = tree.rank.get(step.apex, -1)
+            if r < 0 or piece & ~tree.adj[r] != 1 << r:
+                raise DomainError(f"replay: {step.apex!r} is not central")
+            piece = a.graph.induced(tree.names(piece ^ 1 << r))
+            labels.extend(prefix + v for v in piece.labels)
+            edges.extend((prefix + x, prefix + y) for x, y in piece.edges())
+            continue
+        r = tree.rank.get(step.cut, -1)
+        if r < 0 or not cuts >> r & 1:
+            raise DomainError(f"replay: {step.cut!r} is not a cut vertex")
+        parts = tree.parts(piece, r)
+        if len(parts) != len(step.parts):
+            raise DomainError("replay: block count mismatch")
+        for k in reversed(range(len(parts))):
+            todo.append((parts[k], cuts & parts[k] & ~(1 << r), step.parts[k], f"{prefix}{k}:"))
     return Graph(labels, edges)
 
 

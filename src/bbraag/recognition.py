@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional, Union
+from typing import Optional, Union
 
 from .errors import CapacityError, DomainError
 from .graphs import (
+    BlockCutTree,
     Graph,
     _bits,
-    blocks_at,
+    block_cut_tree,
     central_vertices,
     connected_components,
     cut_vertices,
     is_connected,
-    run_flat,
 )
 from .patterns import PATTERNS, disjoint_union
 
@@ -63,20 +63,26 @@ class ChordalityResult:
 
 
 def _mcs_order(g: Graph) -> list[int]:
-    """Maximum-cardinality search visit order (indices); ties by smallest index."""
-    n = g.n
-    weight = [0] * n
-    visited = 0
-    order = []
-    for _ in range(n):
-        best = -1
-        for i in range(n):
-            if not (visited >> i) & 1 and (best < 0 or weight[i] > weight[best]):
-                best = i
-        order.append(best)
-        visited |= 1 << best
-        for j in _bits(g.adj[best] & ~visited):
+    """Maximum-cardinality search visit order (indices); ties by smallest index.
+
+    Each visit takes the lowest unvisited vertex of the highest weight, kept in
+    one mask per weight (Tarjan-Yannakakis, SIAM J. Comput. 13, 1984).
+    """
+    weight = [0] * g.n
+    buckets = [(1 << g.n) - 1] + [0] * g.n
+    unvisited, top, order = buckets[0], 0, []
+    for _ in range(g.n):
+        while not buckets[top]:
+            top -= 1
+        bit = buckets[top] & -buckets[top]
+        buckets[top] ^= bit
+        unvisited ^= bit
+        order.append(bit.bit_length() - 1)
+        for j in _bits(g.adj[order[-1]] & unvisited):
+            buckets[weight[j]] ^= 1 << j
             weight[j] += 1
+            buckets[weight[j]] |= 1 << j
+        top += 1  # a neighbour may now outweigh the vertex taken by one
     return order
 
 
@@ -253,6 +259,8 @@ def is_droms(g: Graph) -> DromsResult:
     """Cone/disjoint-union recursion; failure yields an induced P4 or C4."""
     if g.n == 0:
         return DromsResult(True, certificate=DromsUnion(()))
+    if g.n == 1:
+        return DromsResult(True, certificate=DromsLeaf(g.labels[0]))
     comps = connected_components(g)
     if len(comps) > 1:
         children = []
@@ -262,8 +270,6 @@ def is_droms(g: Graph) -> DromsResult:
                 return DromsResult(False, witness=sub.witness)
             children.append(sub.certificate)
         return DromsResult(True, certificate=DromsUnion(tuple(children)))
-    if g.n == 1:
-        return DromsResult(True, certificate=DromsLeaf(g.labels[0]))
     centrals = central_vertices(g)
     if not centrals:
         # connected with no dominating vertex forces one of the two patterns
@@ -457,16 +463,8 @@ class DromsTreeDecomposition:
 def replay_tree_of_droms(dec: DromsTreeDecomposition) -> Graph:
     """Union of the pieces' replayed graphs; equals the decomposed graph."""
     pieces = [replay_droms(node.certificate) for node in dec.nodes]
-    labels: list[str] = []
-    seen: set[str] = set()
-    edges: set[frozenset] = set()
-    for piece in pieces:
-        for v in piece.labels:
-            if v not in seen:
-                seen.add(v)
-                labels.append(v)
-        edges.update(frozenset(e) for e in piece.edges())
-    return Graph(sorted(labels), [tuple(sorted(e)) for e in sorted(edges, key=sorted)])
+    labels = sorted({v for piece in pieces for v in piece.labels})
+    return Graph(labels, [e for piece in pieces for e in piece.edges()])
 
 
 @dataclass(frozen=True)
@@ -476,41 +474,38 @@ class TreeOfDromsResult:
     witness: Optional[ForbiddenWitness] = None
 
 
-def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> Generator:
-    """Recursive split; its value is the index of a node containing ``anchor``.
+def _decompose(g: Graph, tree: BlockCutTree) -> DromsTreeDecomposition:
+    """Split at the smallest cut vertex, on an explicit stack, until every piece is one block.
 
-    Run by :func:`run_flat`, so a long path does not exhaust the stack.
-
-    Splits at the smallest cut vertex while one exists; a piece with no cut
-    vertex is itself a connected Droms graph (it is a cone by the class
-    assumptions) and becomes a tree node.  Child-piece roots contain the cut
-    vertex they are glued along, so adjacent node sets intersect exactly in
-    the edge label.
+    Each block is a connected Droms graph (a cone by the class assumptions)
+    and becomes a node.  A piece split at v is walked part by part: first the
+    part holding its anchor (the vertex it was glued along, or v at the top),
+    then each other part, glued after its walk to the main part's node holding
+    v.  All nodes holding v come from this walk, the main part's first.
     """
-    cuts = cut_vertices(g)
-    if not cuts:
-        sub = is_droms(g)
-        assert sub.droms, "cut-free piece of a tree of Droms graphs must be Droms"
-        nodes.append(DromsTreeNode(tuple(sorted(g.labels)), sub.certificate))
-        return len(nodes) - 1
-    v = cuts[0]
-    blocks = blocks_at(g, v).blocks
-    main = 0
-    if anchor is not None and anchor != v:
-        main = next(k for k, blk in enumerate(blocks) if anchor in blk)
-    begin = len(nodes)
-    main_idx = yield _decompose(
-        g.induced(blocks[main]), nodes, edges, v if anchor is None else anchor
-    )
-    attach = next(
-        idx for idx in range(begin, len(nodes)) if v in nodes[idx].vertices
-    )
-    for k, blk in enumerate(blocks):
-        if k == main:
-            continue
-        child_idx = yield _decompose(g.induced(blk), nodes, edges, v)
-        edges.append((attach, child_idx, v))
-    return main_idx
+    nodes, edges = [], []
+    holding: dict[str, list[int]] = {}  # label -> the nodes holding it
+    todo: list[tuple] = [(tree.whole, tree.cuts, 0)]  # (piece, its cut vertices, anchor bit)
+    while todo:
+        piece, cuts, anchor = todo.pop()
+        if cuts is None:  # glue along the vertex labelled ``piece``
+            edges.append((holding[piece][0], holding[piece][-1], piece))
+        elif not cuts:
+            names = tree.names(piece)
+            sub = is_droms(g.induced(names))
+            assert sub.droms, "cut-free piece of a tree of Droms graphs must be Droms"
+            for name in names:
+                holding.setdefault(name, []).append(len(nodes))
+            nodes.append(DromsTreeNode(names, sub.certificate))
+        else:
+            v = cuts & -cuts
+            parts = tree.parts(piece, v.bit_length() - 1)
+            main = next((k for k, part in enumerate(parts) if part & anchor), 0)
+            for part in reversed(parts[:main] + parts[main + 1:]):
+                todo.append((tree.labels[v.bit_length() - 1], None, None))
+                todo.append((part, cuts & part & ~v, v))
+            todo.append((parts[main], cuts & parts[main] & ~v, anchor or v))
+    return DromsTreeDecomposition(tuple(nodes), tuple(edges))
 
 
 def is_tree_of_droms(
@@ -523,9 +518,4 @@ def is_tree_of_droms(
     witness = _class_witness(g, chordality, ("GEM", "HBAR"))
     if witness is not None:
         return TreeOfDromsResult(False, witness=witness)
-    nodes: list[DromsTreeNode] = []
-    edges: list[tuple[int, int, str]] = []
-    run_flat(_decompose(g, nodes, edges, None))
-    return TreeOfDromsResult(
-        True, decomposition=DromsTreeDecomposition(tuple(nodes), tuple(edges))
-    )
+    return TreeOfDromsResult(True, decomposition=_decompose(g, block_cut_tree(g)))

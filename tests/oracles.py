@@ -11,16 +11,31 @@ their orbits on vertex subsets from all n! permutations, greedy collapse by
 rescanning every face at each step, the graded dimensions of the
 exterior face ring modulo the vertex sum from ranks in the clique basis,
 flag-complex faces from every vertex subset, induced-pattern search
-that scans every vertex at each step, and the canonical search with full
-refinement passes and orbits rebuilt for every branch.
+that scans every vertex at each step, the canonical search with full
+refinement passes and orbits rebuilt for every branch, maximum-cardinality
+search that rescans every vertex per visit, the splits at cut vertices that
+induce each piece and search its cut vertices again (the tree-of-Droms
+decomposition, the structure derivation and its replay), and the blocks as
+the maximal cut-free vertex sets.
 Keep these free of bbraag internals beyond the public Graph accessors.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from typing import Generator, Optional
 
-from bbraag.graphs import Graph
+from bbraag.errors import CapacityError, DomainError
+from bbraag.graphs import (
+    Graph,
+    central_vertices,
+    connected_components,
+    cut_vertices,
+    is_connected,
+)
+from bbraag.invariants import STRUCTURE_DEPTH_LIMIT, ConeStrip, FreeSplit
+from bbraag.recognition import DromsTreeDecomposition, DromsTreeNode, is_droms
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -660,3 +675,191 @@ def decode_graph6_independent(text: str):
             k += 1
     assert all(b == 0 for b in bits[k:]), "nonzero padding"
     return n, edges
+
+
+def scanning_mcs_order(g: Graph) -> list[int]:
+    """Maximum-cardinality search visit order (indices); ties by smallest index.
+
+    Rescans every vertex for the heaviest unvisited one at each visit.
+    """
+    n = g.n
+    weight = [0] * n
+    visited = 0
+    order = []
+    for _ in range(n):
+        best = -1
+        for i in range(n):
+            if not (visited >> i) & 1 and (best < 0 or weight[i] > weight[best]):
+                best = i
+        order.append(best)
+        visited |= 1 << best
+        for j in _bits(g.adj[best] & ~visited):
+            weight[j] += 1
+    return order
+
+
+# -- splits at cut vertices, one induced piece at a time -----------------------
+#
+# The reference for the block-cut tree walks: every piece is induced and its
+# cut vertices searched again at each split, and the blocks at a cut vertex
+# are the components of the graph less that vertex.  The cut vertices of each
+# piece come from the library's cut_vertices on that piece alone, which the
+# tests check against networkx and the definition.  The recursive splits are
+# generators run on an explicit stack by run_flat.
+
+
+def run_flat(call: Generator):
+    """Value of the recursive generator ``call``, run on an explicit stack.
+
+    A recursive function written as a generator yields each nested call (a
+    generator of the same kind) and is sent back its value, so a recursion
+    as deep as a long path costs heap, not Python stack frames.
+    """
+    stack = [call]
+    value = None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
+
+
+@dataclass(frozen=True)
+class BlockDecomposition:
+    cut_vertex: str
+    blocks: tuple[tuple[str, ...], ...]
+
+
+def blocks_at(g: Graph, v: str) -> BlockDecomposition:
+    """Split ``g`` at cut vertex ``v``: one block per component of ``g - v``."""
+    if not is_connected(g):
+        raise DomainError("blocks_at needs a connected graph")
+    comps = connected_components(g.without(v))
+    if len(comps) < 2:
+        raise DomainError(f"{v!r} is not a cut vertex")
+    return BlockDecomposition(v, tuple(tuple(sorted(c + (v,))) for c in comps))
+
+
+def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> Generator:
+    """Recursive split; its value is the index of a node containing ``anchor``.
+
+    Splits at the smallest cut vertex while one exists; a piece with no cut
+    vertex is itself a connected Droms graph and becomes a tree node.
+    """
+    cuts = cut_vertices(g)
+    if not cuts:
+        sub = is_droms(g)
+        assert sub.droms, "cut-free piece of a tree of Droms graphs must be Droms"
+        nodes.append(DromsTreeNode(tuple(sorted(g.labels)), sub.certificate))
+        return len(nodes) - 1
+    v = cuts[0]
+    blocks = blocks_at(g, v).blocks
+    main = 0
+    if anchor is not None and anchor != v:
+        main = next(k for k, blk in enumerate(blocks) if anchor in blk)
+    begin = len(nodes)
+    main_idx = yield _decompose(
+        g.induced(blocks[main]), nodes, edges, v if anchor is None else anchor
+    )
+    attach = next(
+        idx for idx in range(begin, len(nodes)) if v in nodes[idx].vertices
+    )
+    for k, blk in enumerate(blocks):
+        if k == main:
+            continue
+        child_idx = yield _decompose(g.induced(blk), nodes, edges, v)
+        edges.append((attach, child_idx, v))
+    return main_idx
+
+
+def tree_of_droms_decomposition(g: Graph) -> DromsTreeDecomposition:
+    """The glued decomposition of a tree of Droms graphs, split piece by piece."""
+    nodes: list = []
+    edges: list = []
+    run_flat(_decompose(g, nodes, edges, None))
+    return DromsTreeDecomposition(tuple(nodes), tuple(edges))
+
+
+def _derive_structure(g: Graph, depth: int = 0) -> Generator:
+    """Strip a central vertex if there is one, else split at the smallest cut vertex."""
+    centrals = central_vertices(g)
+    if centrals:
+        return ConeStrip(centrals[0])
+    if depth == STRUCTURE_DEPTH_LIMIT:
+        raise CapacityError(
+            f"structure derivation may not nest more than {STRUCTURE_DEPTH_LIMIT} splits"
+        )
+    cut = cut_vertices(g)[0]
+    parts = []
+    for b in blocks_at(g, cut).blocks:
+        parts.append((yield _derive_structure(g.induced(b), depth + 1)))
+    return FreeSplit(cut, tuple(parts))
+
+
+def structure_derivation(g: Graph):
+    """The cone-strip and split log of the structure graph, split piece by piece."""
+    return run_flat(_derive_structure(g))
+
+
+def replay_structure(g: Graph, derivation) -> Graph:
+    """Re-run a derivation log against ``g``; must reproduce the claimed graph."""
+    if isinstance(derivation, ConeStrip):
+        if derivation.apex not in central_vertices(g):
+            raise DomainError(f"replay: {derivation.apex!r} is not central")
+        return g.without(derivation.apex)
+    if derivation.cut not in cut_vertices(g):
+        raise DomainError(f"replay: {derivation.cut!r} is not a cut vertex")
+    blocks = blocks_at(g, derivation.cut).blocks
+    if len(blocks) != len(derivation.parts):
+        raise DomainError("replay: block count mismatch")
+    labels: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for k, (block, part) in enumerate(zip(blocks, derivation.parts)):
+        piece = replay_structure(g.induced(block), part)
+        piece = piece.relabeled({v: f"{k}:{v}" for v in piece.labels})
+        labels.extend(piece.labels)
+        edges.extend(piece.edges())
+    return Graph(labels, edges)
+
+
+def maximal_cut_free_sets(g: Graph) -> set[frozenset]:
+    """The blocks by their definition: the maximal vertex sets of at least two
+    vertices that induce a connected graph with no cut vertex, found among all
+    2^n subsets (so keep n small)."""
+    n, adj = g.n, g.adj
+
+    def connected(mask):
+        if not mask:
+            return False
+        seen = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            for i in range(n):
+                if frontier >> i & 1:
+                    grow |= adj[i] & mask
+            frontier = grow & ~seen
+            seen |= frontier
+        return seen == mask
+
+    conn = [connected(m) for m in range(1 << n)]
+    good = [
+        m.bit_count() >= 2 and conn[m]
+        and all(conn[m & ~(1 << i)] for i in range(n) if m >> i & 1)
+        for m in range(1 << n)
+    ]
+    # larger[m]: some proper superset of m is good; filled from the full set down
+    larger = [False] * (1 << n)
+    for m in range((1 << n) - 1, -1, -1):
+        larger[m] = any(
+            good[m | 1 << i] or larger[m | 1 << i] for i in range(n) if not m >> i & 1
+        )
+    return {
+        frozenset(g.labels[i] for i in range(n) if m >> i & 1)
+        for m in range(1 << n)
+        if good[m] and not larger[m]
+    }

@@ -176,6 +176,23 @@ def test_report_long_path_exits_cleanly(tmp_path):
         assert "capacity error: structure derivation may not nest more than" in proc.stderr
 
 
+def test_report_p5000_exits_4(tmp_path):
+    # P_5000 splits 4,998 times; the derivation stops at 400 nested splits.
+    # The timeout only guards against a hang: it times nothing.
+    import bbraag
+
+    p = tmp_path / "p5000.txt"
+    p.write_text("".join(f"{i} {i + 1}\n" for i in range(4999)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbraag", "report", "--input", str(p)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "more than 400 splits" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_scan_failures_exit_5(capsys, monkeypatch):
     monkeypatch.setitem(PREDICATES, "always_fails", lambda g, ring: (True, False))
     code, out, _ = run(capsys, "scan", "always_fails", "--max-v", "3")

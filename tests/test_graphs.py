@@ -9,7 +9,7 @@ from bbraag.enumeration import connected_graphs
 from bbraag.graphs import (
     Graph,
     all_cliques,
-    blocks_at,
+    block_cut_tree,
     canonical_form,
     central_vertices,
     clique_euler,
@@ -18,7 +18,6 @@ from bbraag.graphs import (
     connected_components,
     cut_vertices,
     is_connected,
-    run_flat,
 )
 from bbraag.patterns import (
     complete_graph,
@@ -28,6 +27,8 @@ from bbraag.patterns import (
     path_graph,
     star_graph,
 )
+
+from oracles import blocks_at, maximal_cut_free_sets, run_flat
 
 
 def test_run_flat_runs_deeper_than_the_stack():
@@ -80,6 +81,25 @@ def test_induced_idempotent():
         assert once.induced(subset) == once
 
 
+def test_induced_keeps_the_index_order():
+    # the subset's indices sorted, as the scan over every index gave them
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        labels = [f"v{i}" for i in range(n)]
+        rng.shuffle(labels)
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i) if rng.random() < 0.3]
+        g = Graph(labels, edges)
+        subset = rng.sample(labels, rng.randint(0, n))
+        chosen = {g.index(v) for v in subset}
+        keep = [i for i in range(g.n) if i in chosen]
+        sub = g.induced(subset)
+        assert sub.labels == tuple(g.labels[i] for i in keep)
+        assert sub.adj == tuple(
+            sum(1 << k for k, j in enumerate(keep) if g.adj[i] >> j & 1) for i in keep
+        )
+
+
 def test_connected_components():
     assert connected_components(Graph([])) == []
     g = Graph("abcx", [("a", "b"), ("b", "c")])
@@ -129,11 +149,18 @@ def test_cut_vertices_long_path():
     assert cut_vertices(path_graph(n)) == sorted(str(i) for i in range(1, n - 1))
 
 
+def tree_parts(g, v):
+    """The parts of ``g`` at cut vertex ``v`` by the block-cut tree, as label tuples."""
+    tree = block_cut_tree(g)
+    return tuple(tree.names(part) for part in tree.parts(tree.whole, tree.rank[v]))
+
+
 def test_blocks_at():
+    # the reference split of tests/oracles.py against the block-cut tree
     dec = blocks_at(bowtie(), "v")
-    assert dec.blocks == (("a", "b", "v"), ("c", "d", "v"))
+    assert dec.blocks == (("a", "b", "v"), ("c", "d", "v")) == tree_parts(bowtie(), "v")
     dec = blocks_at(path_graph(4, "abcd"), "b")
-    assert dec.blocks == (("a", "b"), ("b", "c", "d"))
+    assert dec.blocks == (("a", "b"), ("b", "c", "d")) == tree_parts(path_graph(4, "abcd"), "b")
     with pytest.raises(DomainError):
         blocks_at(complete_graph(4), "0")
 
@@ -142,6 +169,7 @@ def test_blocks_cover_edges():
     g = Graph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"), ("d", "f")])
     for v in cut_vertices(g):
         dec = blocks_at(g, v)
+        assert tree_parts(g, v) == dec.blocks
         union_edges = set()
         for block in dec.blocks:
             union_edges.update(frozenset(e) for e in g.induced(block).edges())
@@ -150,6 +178,36 @@ def test_blocks_cover_edges():
         for i in range(len(dec.blocks)):
             for j in range(i + 1, len(dec.blocks)):
                 assert set(dec.blocks[i]) & set(dec.blocks[j]) == {v}
+    # every split of every connected graph with v <= 6, also in reversed vertex
+    # order, so the search root is not always the smallest label
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    for g in graphs + [Graph(reversed(g.labels), g.edges()) for g in graphs]:
+        for v in cut_vertices(g):
+            assert tree_parts(g, v) == blocks_at(g, v).blocks, (g, v)
+
+
+def test_block_cut_tree_matches_maximal_cut_free_sets():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        labels = [f"v{i}" for i in range(n)]
+        rng.shuffle(labels)
+        while True:
+            p = rng.choice((0.2, 0.3, 0.5))
+            edges = [(labels[i], labels[j]) for i in range(n) for j in range(i) if rng.random() < p]
+            g = Graph(labels, edges)
+            if is_connected(g):
+                break
+        tree = block_cut_tree(g)
+        blocks = {frozenset(tree.names(b)) for b in tree.blocks}
+        assert len(blocks) == len(tree.blocks)
+        assert blocks == (maximal_cut_free_sets(g) if n > 1 else {frozenset(g.labels)}), g
+        # a cut vertex is a vertex in two blocks
+        assert set(tree.names(tree.cuts)) == {v for v in g.labels if sum(v in b for b in blocks) > 1}
+    with pytest.raises(DomainError):
+        block_cut_tree(Graph([]))
+    with pytest.raises(DomainError):
+        block_cut_tree(Graph("ab"))
 
 
 def test_central_vertices():

@@ -6,9 +6,12 @@ import pytest
 
 import bbraag.invariants as invariants
 from bbraag.errors import CapacityError, DomainError, NotSupportedError
-from bbraag.graphs import Graph, is_connected
+from bbraag.graphs import Graph, central_vertices, is_connected
 from bbraag.invariants import (
     Analysis,
+    ConeStrip,
+    FreeSplit,
+    StructureGraph,
     bb_abelian,
     bb_cohomology_dimensions,
     bb_free,
@@ -32,9 +35,10 @@ from bbraag.patterns import (
     path_graph,
     star_graph,
 )
-from bbraag.recognition import is_chordal, is_droms
+from bbraag.recognition import is_chordal, is_droms, is_tree_of_droms
 from bbraag.enumeration import connected_graphs
 
+import oracles
 from oracles import chi_quotient_dims, fraction_rank, hilbert_product
 from test_homology import projective_plane_poset_graph, small_graphs
 
@@ -139,6 +143,85 @@ def test_structure_depth_limit(monkeypatch):
         bb_structure_graph(path_graph(7))
     with pytest.raises(CapacityError):
         invariant_report(path_graph(7))
+
+
+def test_replay_rejects_a_wrong_log():
+    bowtie = Graph("abvcd", [("a", "b"), ("a", "v"), ("b", "v"), ("c", "d"), ("c", "v"), ("d", "v")])
+    p5 = path_graph(5)
+    again = FreeSplit("1", (ConeStrip("0"), ConeStrip("1")))
+    for g, wrong in [
+        (bowtie, ConeStrip("a")),  # not central
+        (bowtie, ConeStrip("x")),  # not a vertex
+        (p5, FreeSplit("0", ())),  # not a cut vertex
+        (p5, FreeSplit("x", ())),
+        (p5, FreeSplit("1", (ConeStrip("0"),))),  # one part short
+        # "1" cuts P5 but not its part 1-2-3-4, nor the part 2-3-4 of the split at "2"
+        (p5, FreeSplit("1", (ConeStrip("0"), again))),
+        (p5, FreeSplit("2", (again, again))),
+        (Graph("ab"), ConeStrip("a")),  # disconnected
+    ]:
+        for replay in (replay_structure, oracles.replay_structure):
+            with pytest.raises(DomainError):
+                replay(g, wrong)
+
+
+def assert_splits_match_oracles(g):
+    """The tree-of-Droms decomposition, the structure derivation and its replay
+    give the JSON of the reference splits in tests/oracles.py."""
+    res = is_tree_of_droms(g)
+    if res.tree_of_droms:
+        expect = oracles.tree_of_droms_decomposition(g)
+        assert res.decomposition.to_json() == expect.to_json(), g
+    if not (res.tree_of_droms or central_vertices(g)):
+        return
+    s = bb_structure_graph(g)
+    derivation = oracles.structure_derivation(g)
+    assert s.derivation.to_json() == derivation.to_json(), g
+    expect = StructureGraph(oracles.replay_structure(g, derivation), derivation)
+    assert s.to_json() == expect.to_json(), g
+
+
+def test_splits_match_oracles_v7():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert_splits_match_oracles(g)
+
+
+@pytest.mark.slow
+def test_splits_match_oracles_v8():
+    for g in connected_graphs(8):
+        assert_splits_match_oracles(g)
+
+
+def random_tree(rng, n, clique_sizes=(2,)):
+    """Shuffled labels; each new block is a clique hung at an earlier vertex."""
+    labels = [f"t{i}" for i in range(n)]
+    rng.shuffle(labels)
+    edges, made = [], 1
+    while made < n:
+        k = min(rng.choice(clique_sizes), n - made + 1)
+        block = [labels[rng.randrange(made)]] + labels[made:made + k - 1]
+        edges += combinations(block, 2)
+        made += k - 1
+    return Graph(labels, edges)
+
+
+def triangle_chain(k):
+    edges = []
+    for i in range(k):
+        a, b, c = f"c{2 * i}", f"c{2 * i + 1}", f"c{2 * i + 2}"
+        edges += [(a, b), (b, c), (a, c)]
+    return Graph([f"c{i}" for i in range(2 * k + 1)], edges)
+
+
+def test_splits_match_oracles_on_long_inputs():
+    rng = random.Random(15)
+    graphs = [random_tree(rng, n) for n in (30, 90, 200, 400)]
+    graphs += [random_tree(rng, n, (2, 3, 4)) for n in (40, 150)]
+    graphs += [triangle_chain(k) for k in (1, 2, 5, 40, 150)]
+    graphs += [path_graph(450), path_graph(500)]
+    for g in graphs:
+        assert_splits_match_oracles(g)
 
 
 def test_structure_trees_isolated_vertices():

@@ -1,11 +1,11 @@
-"""Chordality, maximal cliques, cut vertices and the graph atlas against networkx, where it is installed."""
+"""Chordality, maximal cliques, cut vertices, blocks and the graph atlas against networkx, where it is installed."""
 
 import random
 
 import pytest
 
 from bbraag.enumeration import connected_graph_count, connected_graphs
-from bbraag.graphs import Graph, canonical_form, cut_vertices, maximal_clique_masks
+from bbraag.graphs import Graph, block_cut_tree, canonical_form, cut_vertices, maximal_clique_masks
 from bbraag.recognition import is_chordal
 
 nx = pytest.importorskip("networkx")
@@ -65,3 +65,20 @@ def test_cut_vertices_match_networkx():
         ng.add_nodes_from(g.labels)
         ng.add_edges_from(g.edges())
         assert cut_vertices(g) == sorted(nx.articulation_points(ng)), g
+
+
+def test_block_cut_tree_matches_networkx_v8():
+    examined = 0
+    for n in range(1, 9):
+        for g in connected_graphs(n):
+            ng = nx.Graph()
+            ng.add_nodes_from(g.labels)
+            ng.add_edges_from(g.edges())
+            tree = block_cut_tree(g)
+            blocks = sorted(sorted(tree.names(b)) for b in tree.blocks)
+            # networkx gives an isolated vertex no biconnected component
+            theirs = sorted(sorted(c) for c in nx.biconnected_components(ng)) or [list(g.labels)]
+            assert blocks == theirs, g
+            assert list(tree.names(tree.cuts)) == sorted(nx.articulation_points(ng)), g
+            examined += 1
+    assert examined == 12113

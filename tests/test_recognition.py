@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -28,7 +29,7 @@ from bbraag.recognition import (
 )
 from bbraag.enumeration import connected_graphs
 
-from oracles import brute_isomorphic, scanning_find_induced
+from oracles import brute_isomorphic, scanning_find_induced, scanning_mcs_order
 
 
 def stack_depth():
@@ -91,6 +92,29 @@ def test_peo_property():
             for i, a in enumerate(later):
                 for b in later[i + 1:]:
                     assert g.has_edge(a, b)
+
+
+def test_mcs_order_matches_scanning_oracle_v8():
+    from bbraag.recognition import _mcs_order
+
+    examined = 0
+    for n in range(1, 9):
+        for g in connected_graphs(n):
+            assert _mcs_order(g) == scanning_mcs_order(g), g
+            examined += 1
+    assert examined == 12113
+    # random graphs of up to 40 vertices, and a clique met only after a long path
+    rng = random.Random(4)
+    for n in (0, 1, 15, 40):
+        g = Graph([str(i) for i in range(n)], [
+            (str(i), str(j)) for i in range(n) for j in range(i) if rng.random() < 0.3
+        ])
+        assert _mcs_order(g) == scanning_mcs_order(g)
+    g = path_graph(30)
+    g = Graph(g.labels + ("a", "b", "c", "d"), g.edges() + [
+        (x, y) for x, y in combinations(["29", "a", "b", "c", "d"], 2)
+    ])
+    assert _mcs_order(g) == scanning_mcs_order(g)
 
 
 def test_chordless_cycle_witnesses():
