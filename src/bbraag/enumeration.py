@@ -61,10 +61,10 @@ from typing import Callable, Iterator
 
 from . import _canon_py, _g6, kernel
 from .errors import CapacityError, DomainError
-from .graphs import Graph, _bits, _component_masks, block_cut_tree, is_connected
+from .graphs import Graph, _bits, _component_masks, is_connected
 from .homology import normalize_ring
 from .invariants import INEQUALITIES, Analysis, koszul_hilbert_check, omega_identity_check
-from .recognition import is_droms, is_tree_of_droms, replay_tree_of_droms
+from .recognition import find_induced, is_tree_of_droms, replay_tree_of_droms
 
 CAPACITY = 9
 
@@ -275,22 +275,13 @@ def _pred_chordal_implies_acyclic(a: Analysis, ring: str) -> tuple[bool, bool]:
     return True, a.acyclic(ring)
 
 
-def _every_block_droms(g: Graph) -> bool:
-    """Connected, and every block is Droms.
-
-    This is the definition of a tree of Droms graphs, decided without the
-    chordal, gem and hbar tests that :func:`is_tree_of_droms` runs.
-    """
-    if not is_connected(g):
-        return False
-    tree = block_cut_tree(g)
-    return all(is_droms(g.induced(tree.names(b))).droms for b in tree.blocks)
-
-
 def _pred_tree_of_droms_equivalence(a: Analysis, ring: str) -> tuple[bool, bool]:
-    """The block-wise definition must equal the constructive verdict, with replay."""
-    res = a.tree_of_droms
-    if _every_block_droms(a.graph) != res.tree_of_droms:
+    """Connected, chordal, gem- and hbar-free must equal the block-wise verdict, with replay."""
+    g, res = a.graph, a.tree_of_droms
+    by_patterns = is_connected(g) and a.chordality.chordal and not (
+        find_induced(g, "GEM") or find_induced(g, "HBAR")
+    )
+    if by_patterns != res.tree_of_droms:
         return True, False
     if res.tree_of_droms and replay_tree_of_droms(res.decomposition) != a.graph:
         return True, False

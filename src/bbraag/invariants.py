@@ -101,7 +101,9 @@ class Analysis:
 
     @cached_property
     def tree_of_droms(self) -> TreeOfDromsResult:
-        return is_tree_of_droms(self.graph, self.chordality)
+        """Handed the chordality, and the block-cut tree whenever the decomposition reads it."""
+        tree = self.block_cut_tree if self.chordality.chordal and is_connected(self.graph) else None
+        return is_tree_of_droms(self.graph, self.chordality, tree)
 
     def homology(self, ring: str) -> HomologyGroups:
         tag = normalize_ring(ring)

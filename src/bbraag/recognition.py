@@ -20,7 +20,6 @@ from .graphs import (
     block_cut_tree,
     central_vertices,
     connected_components,
-    cut_vertices,
     is_connected,
 )
 from .patterns import PATTERNS, disjoint_union
@@ -28,9 +27,9 @@ from .patterns import PATTERNS, disjoint_union
 DISCONNECTED = "DISCONNECTED"
 
 # Vertices a graph may have before `bbraag classify` or `bbraag structure`
-# stops with CapacityError.  The pattern searches grow like n^5 on cliques:
-# classify on K20 takes about 1.6 s on a 2-vCPU VM, and about 60 s on K40.
-RECOGNITION_VERTEX_LIMIT = 20
+# stops with CapacityError.  Only non-members search patterns (about n^4 on a
+# clique); the slowest one measured takes 1.75 s at 33 and 2.0 s at 34 (README).
+RECOGNITION_VERTEX_LIMIT = 33
 
 
 def check_recognition_size(g: Graph) -> None:
@@ -379,15 +378,18 @@ def _removable_step(g: Graph) -> Optional[BuildStep]:
     return None
 
 
-def _class_witness(
-    g: Graph, chordality: Optional[ChordalityResult], patterns: tuple[str, ...]
+def _connected_chordal_witness(
+    g: Graph, chordality: Optional[ChordalityResult]
 ) -> Optional[ForbiddenWitness]:
-    """Why ``g`` is not connected, chordal and free of ``patterns``; None when it is."""
+    """Why ``g`` is not connected and chordal; None when it is."""
     if not is_connected(g):
         return ForbiddenWitness(DISCONNECTED, ())
     chord = is_chordal(g) if chordality is None else chordality
-    if not chord.chordal:
-        return chord.witness
+    return None if chord.chordal else chord.witness
+
+
+def _pattern_witness(g: Graph, patterns: tuple[str, ...]) -> Optional[ForbiddenWitness]:
+    """The first of ``patterns`` that ``g`` induces, on its first vertex subset."""
     for pattern in patterns:
         hit = find_induced(g, pattern)
         if hit is not None:
@@ -398,9 +400,10 @@ def _class_witness(
 def is_ptolemaic(g: Graph, chordality: Optional[ChordalityResult] = None) -> PtolemaicResult:
     """Connected + chordal + gem-free, certified by a leaf/twin build sequence.
 
+    The greedy build decides (Bandelt-Mulder 1986); only a stalled one searches for the gem.
     ``chordality``, when given, must be ``is_chordal(g)``; it saves the search.
     """
-    witness = _class_witness(g, chordality, ("GEM",))
+    witness = _connected_chordal_witness(g, chordality)
     if witness is not None:
         return PtolemaicResult(False, witness=witness)
     steps: list[BuildStep] = []
@@ -408,7 +411,7 @@ def is_ptolemaic(g: Graph, chordality: Optional[ChordalityResult] = None) -> Pto
     while current.n > 1:
         step = _removable_step(current)
         if step is None:
-            raise AssertionError("ptolemaic graph with no removable leaf or twin")
+            return PtolemaicResult(False, witness=_pattern_witness(g, ("GEM",)))
         steps.append(step)
         current = current.without(step.vertex)
     return PtolemaicResult(
@@ -425,16 +428,15 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
     Prefers a central vertex (cone stripping shrinks fastest); smallest label
     breaks ties.  Violated preconditions raise DomainError naming the clause.
     """
-    witness = _class_witness(g, None, ("GEM", "HBAR"))
-    if witness is not None:
-        raise DomainError(f"precondition violated: {witness.pattern} on {witness.vertices}")
+    res = is_tree_of_droms(g)
+    if not res.tree_of_droms:
+        raise DomainError(f"precondition violated: {res.witness.pattern} on {res.witness.vertices}")
     centrals = central_vertices(g)
     if centrals:
         return ("central", centrals[0])
-    cuts = cut_vertices(g)
-    if cuts:
-        return ("cut", cuts[0])
-    raise AssertionError("connected chordal gem-free hbar-free graph with neither")
+    # a tree of Droms graphs without a central vertex has several blocks, and
+    # its decomposition glues them along every cut vertex
+    return ("cut", min(v for _, _, v in res.decomposition.edges))
 
 
 @dataclass(frozen=True)
@@ -474,14 +476,14 @@ class TreeOfDromsResult:
     witness: Optional[ForbiddenWitness] = None
 
 
-def _decompose(g: Graph, tree: BlockCutTree) -> DromsTreeDecomposition:
+def _decompose(g: Graph, tree: BlockCutTree) -> Optional[DromsTreeDecomposition]:
     """Split at the smallest cut vertex, on an explicit stack, until every piece is one block.
 
-    Each block is a connected Droms graph (a cone by the class assumptions)
-    and becomes a node.  A piece split at v is walked part by part: first the
-    part holding its anchor (the vertex it was glued along, or v at the top),
-    then each other part, glued after its walk to the main part's node holding
-    v.  All nodes holding v come from this walk, the main part's first.
+    Each block becomes a node, or ends the walk with None if it is not Droms.
+    A piece split at v is walked part by part: first the part holding its
+    anchor (the vertex it was glued along, or v at the top), then each other
+    part, glued after its walk to the main part's node holding v.  All nodes
+    holding v come from this walk, the main part's first.
     """
     nodes, edges = [], []
     holding: dict[str, list[int]] = {}  # label -> the nodes holding it
@@ -493,7 +495,8 @@ def _decompose(g: Graph, tree: BlockCutTree) -> DromsTreeDecomposition:
         elif not cuts:
             names = tree.names(piece)
             sub = is_droms(g.induced(names))
-            assert sub.droms, "cut-free piece of a tree of Droms graphs must be Droms"
+            if not sub.droms:
+                return None
             for name in names:
                 holding.setdefault(name, []).append(len(nodes))
             nodes.append(DromsTreeNode(names, sub.certificate))
@@ -509,13 +512,17 @@ def _decompose(g: Graph, tree: BlockCutTree) -> DromsTreeDecomposition:
 
 
 def is_tree_of_droms(
-    g: Graph, chordality: Optional[ChordalityResult] = None
+    g: Graph, chordality: Optional[ChordalityResult] = None, tree: Optional[BlockCutTree] = None
 ) -> TreeOfDromsResult:
     """Connected + chordal + gem-free + hbar-free, certified by a glued decomposition.
 
-    ``chordality``, when given, must be ``is_chordal(g)``; it saves the search.
+    Only a block that is not Droms leads to the gem and hbar search.  ``chordality``
+    and ``tree``, when given, must be ``is_chordal(g)`` and ``block_cut_tree(g)``.
     """
-    witness = _class_witness(g, chordality, ("GEM", "HBAR"))
+    witness = _connected_chordal_witness(g, chordality)
     if witness is not None:
         return TreeOfDromsResult(False, witness=witness)
-    return TreeOfDromsResult(True, decomposition=_decompose(g, block_cut_tree(g)))
+    dec = _decompose(g, block_cut_tree(g) if tree is None else tree)
+    if dec is None:
+        return TreeOfDromsResult(False, witness=_pattern_witness(g, ("GEM", "HBAR")))
+    return TreeOfDromsResult(True, decomposition=dec)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,46 @@ def test_scan_golden(capsys):
     )
     assert code == 0
     assert out == golden("scan_chordal_v5.json")
+
+
+def classify_digest(capsys, graph6s):
+    """sha256 of the concatenated `classify --format json` outputs, in order."""
+    h = hashlib.sha256()
+    for g6 in graph6s:
+        code, out, _ = run(capsys, "classify", "--graph6", g6, "--format", "json")
+        assert code == 0
+        h.update(out.encode())
+    return h.hexdigest()
+
+
+def connected_graph6s(max_v):
+    from bbraag.enumeration import connected_graphs
+    from bbraag.formats import format_graph6
+
+    return [format_graph6(g) for n in range(1, max_v + 1) for g in connected_graphs(n)]
+
+
+# Digests of every verdict, certificate and witness that classify printed
+# when the GEM/HBAR search still decided membership.
+CLASSIFY_V7_SHA256 = "0327af6231f43bb3a3e4ed0b58fd19a64ebf038635897fcf71ec24ef3bd6fa6f"
+CLASSIFY_V8_SHA256 = "afb0cd75227bf4f6b935d6e75a613e04b84f06805ba65b19074e8afad6b49aa6"
+# empty, 2K1, 2K2, P3 + K1, gem + K1, C4 + K3
+CLASSIFY_DISCONNECTED = ("?", "A?", "C`", "Cg", "EhBo", "Fl?GW")
+CLASSIFY_DISCONNECTED_SHA256 = "93edfb47f8544979b95156cbcc6e88a78e115f0418860b3afefc7773d67636af"
+
+
+def test_classify_pinned_v7(capsys):
+    graph6s = connected_graph6s(7)
+    assert len(graph6s) == 996
+    assert classify_digest(capsys, graph6s) == CLASSIFY_V7_SHA256
+    assert classify_digest(capsys, CLASSIFY_DISCONNECTED) == CLASSIFY_DISCONNECTED_SHA256
+
+
+@pytest.mark.slow
+def test_classify_pinned_v8(capsys):
+    graph6s = connected_graph6s(8)
+    assert len(graph6s) == 12113
+    assert classify_digest(capsys, graph6s) == CLASSIFY_V8_SHA256
 
 
 def test_structure_gem_golden(capsys, gem_file):
@@ -280,11 +321,21 @@ def test_structure_single_vertex(capsys):
 def test_recognition_vertex_limit_exit_4(capsys, monkeypatch, command):
     import bbraag.cli
     from bbraag.formats import format_graph6
-    from bbraag.patterns import path_graph
+    from bbraag.graphs import Graph
+    from bbraag.patterns import complete_graph, path_graph
     from bbraag.recognition import RECOGNITION_VERTEX_LIMIT
 
-    code, _, _ = run(capsys, command, "--graph6", format_graph6(path_graph(RECOGNITION_VERTEX_LIMIT)))
+    # K_n, a member, and the slowest non-member measured: K_{n-2} with two
+    # simplicial vertices on disjoint edges of its last four vertices, whose
+    # hbar the pattern search reaches last
+    n = RECOGNITION_VERTEX_LIMIT
+    k = complete_graph(n - 2)
+    x, y, z, t = k.labels[-4:]
+    late_hbar = Graph(list(k.labels) + ["u", "w"], k.edges() + [("u", x), ("u", y), ("w", z), ("w", t)])
+    code, _, _ = run(capsys, command, "--graph6", format_graph6(complete_graph(n)))
     assert code == 0
+    code, out, err = run(capsys, command, "--graph6", format_graph6(late_hbar))
+    assert code == (0 if command == "classify" else 3) and "HBAR" in out + err
 
     def no_recognition(g):
         raise AssertionError("a recognizer ran before the vertex limit was checked")

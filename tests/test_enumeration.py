@@ -393,37 +393,49 @@ def test_chordal_acyclic_scan_v7():
 
 
 def test_block_definition_agrees_with_tree_of_droms_v7():
-    from bbraag.enumeration import _every_block_droms
-    from bbraag.recognition import is_tree_of_droms
+    """The block-wise verdict equals the pattern route: connected, chordal, no gem, no hbar."""
+    from bbraag.recognition import find_induced, is_chordal, is_tree_of_droms
 
     members = 0
     for n in range(1, 8):
         for g in connected_graphs(n):
             verdict = is_tree_of_droms(g).tree_of_droms
-            assert _every_block_droms(g) == verdict, g
+            by_patterns = is_chordal(g).chordal and not (
+                find_induced(g, "GEM") or find_induced(g, "HBAR")
+            )
+            assert by_patterns == verdict, g
             members += verdict
     assert members == 233
 
 
-def test_block_definition_skips_pattern_tests(monkeypatch):
-    import bbraag.enumeration as enumeration
+def test_members_skip_gem_and_hbar_search(monkeypatch):
+    """The certificate decides membership; the pattern search only explains a "no"."""
     import bbraag.recognition as recognition
+    from bbraag.patterns import complete_graph
 
     real_find = recognition.find_induced
+    searched = []
 
-    def no_chordality(g):
-        raise AssertionError("is_chordal called")
-
-    def droms_patterns_only(g, pattern):
+    def recording_find(g, pattern):
         if pattern in ("GEM", "HBAR"):
-            raise AssertionError(f"{pattern} search called")
+            searched.append(pattern)
         return real_find(g, pattern)
 
-    for module in (recognition, enumeration):
-        monkeypatch.setattr(module, "is_chordal", no_chordality, raising=False)
-        monkeypatch.setattr(module, "find_induced", droms_patterns_only, raising=False)
-    verdicts = {enumeration._every_block_droms(g) for n in range(1, 7) for g in connected_graphs(n)}
-    assert verdicts == {True, False}
+    monkeypatch.setattr(recognition, "find_induced", recording_find)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)] + [complete_graph(30)]
+    verdicts = set()
+    for g in graphs:
+        for recognize, member in (
+            (recognition.is_ptolemaic, "ptolemaic"),
+            (recognition.is_tree_of_droms, "tree_of_droms"),
+        ):
+            searched.clear()
+            res = recognize(g)
+            verdict = getattr(res, member)
+            verdicts.add((member, verdict, bool(searched)))
+            assert not (verdict and searched), (member, g)
+    # the hook sees the searches: non-members that are chordal reach them
+    assert {("ptolemaic", False, True), ("tree_of_droms", False, True)} <= verdicts
 
 
 def test_scan_ring_normalized():

@@ -591,6 +591,27 @@ def test_report_builds_complex_and_homology_once_per_call(monkeypatch, g):
     assert sorted(rings) == ["Fp:2", "Fp:2", "Q", "Q", "Z", "Z"]
 
 
+@pytest.mark.parametrize("g", [path_graph(6), gem_graph()], ids=["P6", "gem"])
+def test_report_builds_one_block_cut_tree(monkeypatch, g):
+    # P_6 is a tree of Droms graphs; the gem is not, so its decomposition
+    # stops at a block before the structure derivation reads the same tree.
+    import bbraag.graphs
+    import bbraag.recognition
+
+    built = []
+    real = bbraag.graphs.block_cut_tree
+
+    def counting(graph):
+        built.append(graph)
+        return real(graph)
+
+    for module in (bbraag.graphs, bbraag.recognition, invariants):
+        monkeypatch.setattr(module, "block_cut_tree", counting)
+    rep = invariant_report(g)
+    assert rep.structure is not None
+    assert len(built) == 1
+
+
 def test_homology_command_dismantles_once(monkeypatch, capsys):
     from bbraag.cli import main
     from bbraag.formats import format_graph6
