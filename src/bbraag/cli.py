@@ -130,12 +130,12 @@ def _witness_text(witness) -> str:
     return f"witness {witness.pattern} on {','.join(witness.vertices)}"
 
 
-def _graph_json(g: Graph) -> dict:
-    return {
-        "vertices": list(g.labels),
-        "edges": [list(e) for e in g.edges()],
-        "graph6": format_graph6(g),
-    }
+def _graph_json(g: Graph, graph6: str) -> dict:
+    return {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()], "graph6": graph6}
+
+
+def _graph_line(g: Graph, graph6: str) -> str:
+    return f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {graph6}"
 
 
 def _json_or_none(x):
@@ -155,8 +155,9 @@ def cmd_classify(args) -> int:
         ("ptolemaic", is_ptolemaic(g, a.chordality), "certificate"),
         ("tree_of_droms", a.tree_of_droms, "decomposition"),
     )
-    payload = {"graph": _graph_json(g)}
-    lines = [f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {format_graph6(g)}"]
+    g6 = format_graph6(g)
+    payload = {"graph": _graph_json(g, g6)}
+    lines = [_graph_line(g, g6)]
     for name, res, cert_field in verdicts:
         verdict = getattr(res, name)
         payload[name] = {
@@ -179,7 +180,7 @@ def cmd_report(args) -> int:
     payload = {"report": report.to_json()}
     r = report
     lines = [
-        f"graph: {r.v} vertices, {r.e} edges, graph6 {r.graph6}",
+        _graph_line(g, r.graph6),
         f"connected: {r.connected}   flag dim: {r.flag_dim}   clique number (cd of RAAG object): {r.cd_raag}",
         f"betti of RAAG object: b1={r.b1_raag} b2={r.b2_raag}   omega={r.omega_raag}",
         "b1 of BB object: " + (str(r.b1_bb) if r.b1_bb is not None else "not finitely generated"),
@@ -200,7 +201,7 @@ def cmd_report(args) -> int:
     if r.structure is not None:
         lines.append(
             f"structure graph: {len(r.structure.graph.labels)} vertices, "
-            f"graph6 {format_graph6(r.structure.graph)}"
+            f"graph6 {payload['report']['structure']['graph6']}"
         )
     else:
         lines.append(f"structure graph: unavailable ({r.structure_error})")
@@ -236,8 +237,9 @@ def cmd_homology(args) -> int:
     collapse = a.collapse
     hom = {ring: a.homology(ring) for ring in rings}
     simply = finitely_presented_group(a)
+    g6 = format_graph6(g)
     payload = {
-        "graph": _graph_json(g),
+        "graph": _graph_json(g, g6),
         "flag_complex": {
             "dim": c.dim,
             "face_counts": [c.face_count(d) for d in range(c.dim + 1)],
@@ -248,7 +250,7 @@ def cmd_homology(args) -> int:
         "simply_connected": simply,
     }
     lines = [
-        f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {format_graph6(g)}",
+        _graph_line(g, g6),
         f"flag complex: dim {c.dim}, faces {[c.face_count(d) for d in range(c.dim + 1)]}",
     ]
     for ring in rings:
@@ -268,15 +270,16 @@ def cmd_structure(args) -> int:
     g = _load_graph(args)
     check_recognition_size(g)
     structure = bb_structure_graph(g)
+    g6 = format_graph6(g)
     payload = {
-        "graph": _graph_json(g),
+        "graph": _graph_json(g, g6),
         "structure": structure.to_json(),
     }
     sg = structure.graph
     lines = [
-        f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {format_graph6(g)}",
+        _graph_line(g, g6),
         f"Bestvina-Brady object is the RAAG on: {sg.n} vertices, "
-        f"{sg.edge_count} edges, graph6 {format_graph6(sg)}",
+        f"{sg.edge_count} edges, graph6 {payload['structure']['graph6']}",
         "vertices: " + (", ".join(sg.labels) if sg.n else "(none)"),
     ]
     lines.extend(f"edge: {a} {b}" for a, b in sg.edges())

@@ -4,18 +4,18 @@ Faces are graded by dimension and carried as index tuples in the graph's
 vertex order; boundary signs alternate over vertex deletions in that order.
 Reduced homology uses the augmented chain complex, so degree 0 counts
 components minus one and no degree is special-cased.  Homology in every ring
-is computed on the strong-collapse core of the complex (dominated vertices
-deleted, which keeps the homotopy type).  Each boundary of the core is
+is computed on the core of the complex.  Each boundary of the core is
 eliminated once, over Z, into its invariant factors: sparse unit pivots
 first, then Smith normal form of what is left.  Every ring reads its ranks off
 those factors; over F_p the rank counts the factors p does not divide.
 
 A flag complex takes its core from its graph: in the 1-skeleton, v is
 dominated by u when N[v] lies inside N[u], so :func:`bbraag.graphs.dismantle`
-finds the same deletions without reading a face (Barmak-Minian 2012), and the
-core is the full subcomplex on the vertices left.  Only a complex that
-:func:`flag_complex` did not build is reduced by the face rule, which reads its
-facets, so complexes that are not flag complexes reduce correctly too.
+finds the strong collapses of the complex without reading a face
+(Barmak-Minian 2012), and the core is the full subcomplex on the vertices
+left, with the certificate in ``dismantling.pairs``.  A complex that
+:func:`flag_complex` did not build carries no dismantling and is its own
+core: its homology, and :data:`HOMOLOGY_FACE_LIMIT`, go by the full complex.
 
 :func:`flag_complex` makes the (k+1)-cliques from the k-cliques, each
 extended in order by its common neighbours above its largest vertex, so every
@@ -104,7 +104,7 @@ class SimplicialComplex:
     """Faces per dimension, as sorted index tuples into ``labels``.
 
     A flag complex also carries its graph's ``dismantling``, which gives its
-    strong collapse; equality and :meth:`to_json` ignore it.
+    core; equality and :meth:`to_json` ignore it.
     """
 
     labels: tuple[str, ...]
@@ -127,20 +127,6 @@ class SimplicialComplex:
         return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
     @cached_property
-    def strong_collapse(self) -> StrongCollapse:
-        """Computed once per complex, so homology in every ring shares one core.
-
-        A flag complex keeps the vertices its graph's dismantling left; any
-        other complex is reduced by the face rule.
-        """
-        core = self.dismantling
-        if core is None:
-            return _strong_collapse(self)
-        if not core.pairs:
-            return StrongCollapse((), None)
-        return StrongCollapse(core.pairs, _full_subcomplex(self, core.alive))
-
-    @cached_property
     def boundary_factors(self) -> tuple[tuple[int, ...], ...]:
         """Invariant factors of each boundary, degree 0 (the augmentation) to dim.
 
@@ -148,11 +134,17 @@ class SimplicialComplex:
         """
         return tuple(_elimination_factors(_boundary_entries(self, d)) for d in range(self.dim + 1))
 
-    @property
+    @cached_property
     def core(self) -> SimplicialComplex:
-        """The strong-collapse core: ``self`` when no vertex is dominated."""
-        reduced = self.strong_collapse.reduced
-        return self if reduced is None else reduced
+        """The full subcomplex on what the dismantling left, else ``self``.
+
+        Computed once per complex, so homology in every ring shares one core.
+        A complex that carries no dismantling is its own core.
+        """
+        dismantling = self.dismantling
+        if dismantling is None or not dismantling.pairs:
+            return self
+        return _full_subcomplex(self, dismantling.alive)
 
     def to_json(self):
         return {
@@ -171,80 +163,6 @@ def flag_complex(g: Graph, core: Optional[Dismantling] = None) -> SimplicialComp
     """
     faces = tuple(map(tuple, clique_levels(g.n, g.adj)))
     return SimplicialComplex(g.labels, faces, dismantle(g) if core is None else core)
-
-
-@dataclass(frozen=True)
-class StrongCollapse:
-    """Dominated-vertex deletions, as a replayable certificate, and what they leave.
-
-    Replayed in order, each ``(removed, dominator)`` pair is a strong collapse:
-    in the complex left by the earlier pairs, every face containing
-    ``removed`` stays a face when ``dominator`` is added to it.  ``reduced`` is
-    the full subcomplex on the vertices that are left, or None when no vertex
-    was dominated.
-    """
-
-    pairs: tuple[tuple[str, str], ...]
-    reduced: Optional[SimplicialComplex]
-
-
-def _strong_collapse(c: SimplicialComplex) -> StrongCollapse:
-    """Delete dominated vertices, lowest index first, until none is dominated.
-
-    This is the face rule, for complexes that :func:`flag_complex` did not build.
-
-    Vertex v is dominated by u != v when every facet (maximal face) containing
-    v contains u; the lowest such u is recorded.  Deleting v then keeps the
-    homotopy type, hence homology over every ring (Barmak-Minian 2012).  The
-    test reads the facets of ``c`` itself, so it holds on complexes that are
-    not flag complexes, where N[v] in N[u] in the 1-skeleton does not suffice.
-    """
-    facets = _facets(c)
-    alive = sum(1 << f[0] for f in c.faces[0]) if c.faces else 0
-    pairs = []
-    while (hit := _dominated(facets, alive)) is not None:
-        v, u = hit
-        pairs.append((c.labels[v], c.labels[u]))
-        bit = 1 << v
-        alive ^= bit
-        # Facets without v stay maximal; no facet through v shrinks into another one
-        # through v, so a shrunk facet is dropped only when a facet without v holds it.
-        kept = [f for f in facets if not f & bit]
-        facets = kept + [
-            f ^ bit for f in facets if f & bit and all((f ^ bit) & ~g for g in kept)
-        ]
-    if not pairs:
-        return StrongCollapse((), None)
-    return StrongCollapse(tuple(pairs), _full_subcomplex(c, alive))
-
-
-def _dominated(facets: list[int], alive: int) -> Optional[tuple[int, int]]:
-    """The lowest dominated vertex and its lowest dominator, or None."""
-    for v in _bits(alive):
-        bit = 1 << v
-        common = alive
-        for f in facets:
-            if f & bit:
-                common &= f
-        others = common ^ bit
-        if others:
-            return v, (others & -others).bit_length() - 1
-    return None
-
-
-def _facets(c: SimplicialComplex) -> list[int]:
-    """The maximal faces of ``c`` as vertex bitmasks."""
-    facets: list[int] = []
-    covered: set[int] = set()
-    for d in range(c.dim, -1, -1):
-        below: set[int] = set()
-        for face in c.faces[d]:
-            mask = _mask(face)
-            if mask not in covered:
-                facets.append(mask)
-            below.update(mask ^ (1 << i) for i in face)
-        covered = below
-    return facets
 
 
 def _full_subcomplex(c: SimplicialComplex, alive: int) -> SimplicialComplex:
@@ -530,7 +448,7 @@ class HomologyGroups:
 
 
 def reduced_homology(c: SimplicialComplex, ring: str) -> HomologyGroups:
-    """Reduced homology of ``c``, computed on its strong-collapse core.
+    """Reduced homology of ``c``, computed on ``c.core``.
 
     The core has the homotopy type of ``c`` but may have lower dimension, so
     the degrees above it are padded with zero groups up to ``c.dim``.  A core
@@ -632,9 +550,10 @@ def collapse_to_point(c: SimplicialComplex) -> CollapseResult:
 def acyclic_over_z_fast(c: SimplicialComplex) -> bool:
     """Staged, exact test for Z-acyclicity of any complex, flag or not.
 
-    The reduced Euler characteristic is a cheap necessary condition, a
-    strong-collapse core of one vertex a sufficient certificate, and the
-    integral homology of the core decides the rest.
+    The reduced Euler characteristic is a cheap necessary condition.  On a
+    flag complex a core of one vertex is a sufficient certificate; a complex
+    built by hand is its own core.  The integral homology of the core decides
+    the rest.
     """
     if c.euler_characteristic() != 1:
         return False

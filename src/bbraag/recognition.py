@@ -350,7 +350,7 @@ class PtolemaicResult:
 
 
 def _removable_step(g: Graph) -> Optional[BuildStep]:
-    """A vertex removable as leaf, twin, or legal false twin, in label order."""
+    """A vertex of chordal ``g`` removable as leaf, twin, or false twin, in label order."""
     order = sorted(range(g.n), key=lambda i: g.labels[i])
     for i in order:
         row = g.adj[i]
@@ -364,14 +364,10 @@ def _removable_step(g: Graph) -> Optional[BuildStep]:
                 continue
             if (row >> j) & 1 and (row & ~(1 << j)) == (g.adj[j] & ~(1 << i)):
                 return BuildStep("twin", g.labels[i], g.labels[j])
+    # g is chordal, so false twins have a complete neighbourhood: two non-adjacent
+    # common neighbours would close an induced C4 with them.
     for i in order:
         row = g.adj[i]
-        nbrs = list(_bits(row))
-        complete = all(
-            (g.adj[a] >> b) & 1 for ai, a in enumerate(nbrs) for b in nbrs[ai + 1:]
-        )
-        if not complete:
-            continue
         for j in order:
             if j != i and not (row >> j) & 1 and g.adj[j] == row:
                 return BuildStep("false_twin", g.labels[i], g.labels[j])

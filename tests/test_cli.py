@@ -70,6 +70,31 @@ def test_classify_runs_chordality_once(capsys, monkeypatch, graph6):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "command, graphs", [("classify", 1), ("homology", 1), ("report", 2), ("structure", 2)]
+)
+def test_each_graph_encoded_once(capsys, monkeypatch, command, graphs):
+    # the gem is a cone, so report and structure also print its structure graph
+    import bbraag.cli
+    import bbraag.formats
+    import bbraag.invariants
+
+    encoded = []
+    real = bbraag.formats.format_graph6
+
+    def counting(g):
+        encoded.append((g.labels, tuple(g.edges())))
+        return real(g)
+
+    for module in (bbraag.formats, bbraag.cli, bbraag.invariants):
+        monkeypatch.setattr(module, "format_graph6", counting)
+    for fmt in ("json", "text"):
+        code, _, _ = run(capsys, command, "--graph6", "Dh{", "--format", fmt)
+        assert code == 0
+        assert len(encoded) == len(set(encoded)) == graphs, (fmt, encoded)
+        encoded.clear()
+
+
 def test_report_k3_golden(capsys):
     code, out, _ = run(capsys, "report", "--graph6", "Bw", "--format", "json")
     assert code == 0

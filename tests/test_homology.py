@@ -245,6 +245,22 @@ def test_homology_face_limit(monkeypatch):
             big.homology(ring)
 
 
+def test_face_limit_without_dismantling_reads_the_full_complex():
+    # the cone over a long cycle: its flag complex dismantles to the apex, but the
+    # same faces built by hand carry no dismantling and are their own core
+    n = HOMOLOGY_FACE_LIMIT
+    labels = [f"v{i}" for i in range(n)]
+    wheel = Graph(labels + ["z"], [(v, "z") for v in labels] + list(zip(labels, labels[1:] + labels[:1])))
+    flag = flag_complex(wheel)
+    by_hand = SimplicialComplex(flag.labels, flag.faces)
+    assert by_hand == flag and by_hand.core is by_hand
+    assert flag.core.face_count(0) == 1
+    for ring in RINGS:
+        assert reduced_homology(flag, ring).trivial()
+        with pytest.raises(CapacityError):
+            reduced_homology(by_hand, ring)
+
+
 def test_elimination_factors_against_oracles():
     # with and without unit entries: the sparse phase, the dense rest, and both
     rng = random.Random(43)
@@ -575,24 +591,34 @@ def label_faces(c: SimplicialComplex) -> set:
     return {frozenset(f) for d in range(c.dim + 1) for f in c.face_labels(d)}
 
 
-def replay_strong_collapse(c: SimplicialComplex) -> None:
-    """Check every (removed, dominator) pair on the complex of its step, then the core."""
+def replay_core_certificate(c: SimplicialComplex) -> set:
+    """Check every (removed, dominator) pair on the complex of its step; return what is left.
+
+    A flag complex replays its dismantling, which must leave ``c.core``; a
+    complex built by hand has no dismantling and is its own core, so the
+    oracle's face rule supplies its pairs.
+    """
+    pairs = face_strong_collapse(c)[0] if c.dismantling is None else c.dismantling.pairs
     faces = label_faces(c)
-    for removed, dominator in c.strong_collapse.pairs:
+    for removed, dominator in pairs:
         assert removed != dominator
         assert any(removed in f for f in faces), removed
         assert dominates(faces, dominator, removed), (removed, dominator)
         faces = {f for f in faces if removed not in f}
-    assert faces == label_faces(c.core)
+    if c.dismantling is None:
+        assert c.core is c
+    else:
+        assert faces == label_faces(c.core)
     vertices = {v for f in faces for v in f}
     for v in vertices:
         assert not any(dominates(faces, u, v) for u in vertices - {v}), v
+    return faces
 
 
 def test_hollow_triangle_is_not_reduced():
     # Its 1-skeleton is K3, where N[v] is inside N[u] for every pair; the faces say no.
     c = complex_from_facets(["ab", "ac", "bc"])
-    assert c.strong_collapse.pairs == ()
+    assert face_strong_collapse(c) == ((), 0b111)
     assert c.core is c
     for ring in RINGS:
         assert reduced_homology(c, ring).groups == ((0, ()), (1, ()))
@@ -601,12 +627,12 @@ def test_hollow_triangle_is_not_reduced():
 
 def test_projective_plane_core_keeps_torsion():
     rp2 = complex_from_facets(RP2_FACETS)
-    assert rp2.strong_collapse.pairs == ()
+    assert face_strong_collapse(rp2)[0] == ()
     # a tetrahedron glued at a vertex and a pendant edge collapse away; H_3 pads with zero
     glued = complex_from_facets(RP2_FACETS + [tuple("awxy"), tuple("bz")])
-    assert glued.dim == 3 and glued.core.dim == 2
-    assert sorted(glued.core.labels) == sorted(rp2.labels)
-    replay_strong_collapse(glued)
+    assert glued.dim == 3 and glued.core is glued
+    core = replay_core_certificate(glued)
+    assert core == label_faces(rp2)
     want = {
         "Z": ((0, ()), (0, (2,)), (0, ())),
         "Q": ((0, ()), (0, ()), (0, ())),
@@ -620,22 +646,22 @@ def test_projective_plane_core_keeps_torsion():
     assert not acyclic_over_z_fast(glued)
     # the cone over it is contractible: the apex dominates every vertex
     cone = complex_from_facets([f + ("z",) for f in RP2_FACETS])
-    replay_strong_collapse(cone)
-    assert cone.core.face_count(0) == 1
+    assert len(replay_core_certificate(cone)) == 1
+    assert cone.core is cone
     assert acyclic_over_z_fast(cone)
     for ring in RINGS:
         assert reduced_homology(cone, ring).trivial()
     fixture = flag_complex(projective_plane_poset_graph())
-    replay_strong_collapse(fixture)
+    replay_core_certificate(fixture)
     assert reduced_homology(fixture, "Z").groups == want["Z"]
 
 
 def test_empty_complex_and_two_points():
     empty = flag_complex(Graph([]))
-    assert empty.strong_collapse.pairs == () and empty.core is empty
+    assert empty.dismantling.pairs == () and empty.core is empty
     assert not acyclic_over_z_fast(empty)
     two = flag_complex(Graph(["a", "b"]))
-    assert two.strong_collapse.pairs == () and two.core is two
+    assert two.dismantling.pairs == () and two.core is two
     assert not acyclic_over_z_fast(two)
     for ring in RINGS:
         assert reduced_homology(empty, ring).groups == ()
@@ -645,7 +671,7 @@ def test_empty_complex_and_two_points():
 def test_complete_graphs_reduce_to_a_point():
     for n in range(1, 11):
         c = flag_complex(complete_graph(n))
-        assert len(c.strong_collapse.pairs) == n - 1
+        assert len(c.dismantling.pairs) == n - 1
         assert c.core.face_count(0) == 1
         for ring in RINGS:
             groups = reduced_homology(c, ring).groups
@@ -659,8 +685,8 @@ def test_strong_collapse_certificates_replay_v7():
     for n in range(1, 8):
         for g in connected_graphs(n):
             c = flag_complex(g)
-            replay_strong_collapse(c)
-            reduced += bool(c.strong_collapse.pairs)
+            replay_core_certificate(c)
+            reduced += bool(c.dismantling.pairs)
     assert reduced > 0
 
 
@@ -685,7 +711,7 @@ def assert_dismantling_is_strong_collapse(g):
     c = flag_complex(g)
     pairs, alive = face_strong_collapse(c)
     a = Analysis(g)
-    assert c.strong_collapse.pairs == a.complex.strong_collapse.pairs == pairs, g
+    assert c.dismantling.pairs == a.complex.dismantling.pairs == pairs, g
     assert (a.core.pairs, a.core.alive) == (pairs, alive), g
     kept = {g.labels[i] for i in range(g.n) if alive >> i & 1}
     for core in (c.core, a.complex.core):
