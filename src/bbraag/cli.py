@@ -99,8 +99,12 @@ def _load_graph(args) -> Graph:
         raise SystemExit(_usage("exactly one of --input or --graph6 is required"))
     if args.graph6 is not None:
         return parse_graph(args.graph6, "graph6")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), args.input_format)
+    try:
+        with open(args.input, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"input is not UTF-8: {exc.reason}", position=exc.start) from None
+    return parse_graph(text, args.input_format)
 
 
 def _usage(message: str) -> int:

@@ -3,7 +3,8 @@
 Edge-list grammar: one edge per line as two whitespace-separated labels, a
 line with a single label declares an isolated vertex, ``#`` starts a comment.
 Vertex order is first appearance, so parse -> serialize is the identity on
-canonical inputs.
+canonical inputs.  Both formats are read straight into adjacency masks (a
+duplicate edge is a mask bit already set), in time linear in the text size.
 """
 
 from __future__ import annotations
@@ -16,39 +17,28 @@ FORMATS = ("edgelist", "graph6", "auto")
 
 
 def parse_edge_list(text: str) -> Graph:
-    labels: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    edge_set: set[frozenset] = set()
-
-    def declare(v: str):
-        if v not in seen:
-            seen.add(v)
-            labels.append(v)
-
+    index: dict[str, int] = {}
+    adj: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            declare(parts[0])
-        elif len(parts) == 2:
-            a, b = parts
-            if a == b:
-                raise ValidationError(f"self-loop at {a!r}", line=lineno)
-            key = frozenset((a, b))
-            if key in edge_set:
-                raise ValidationError(f"duplicate edge {a} {b}", line=lineno)
-            edge_set.add(key)
-            declare(a)
-            declare(b)
-            edges.append((a, b))
-        else:
+        parts = raw.split("#", 1)[0].split()
+        if len(parts) > 2:
             raise GraphParseError(
                 f"expected 1 or 2 labels per line, got {len(parts)}", line=lineno
             )
-    return Graph(labels, edges)
+        for v in parts:
+            if v not in index:
+                index[v] = len(adj)
+                adj.append(0)
+        if len(parts) == 2:
+            a, b = parts
+            if a == b:
+                raise ValidationError(f"self-loop at {a!r}", line=lineno)
+            i, j = index[a], index[b]
+            if adj[i] >> j & 1:
+                raise ValidationError(f"duplicate edge {a} {b}", line=lineno)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph.from_masks(index, adj)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -59,14 +49,15 @@ def format_edge_list(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line; vertices are labeled "0".."n-1"."""
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise GraphParseError("empty graph6 input", position=0)
-    if any(ch.isspace() for ch in s):
+    if len(s.split(maxsplit=1)) > 1:
         raise GraphParseError("graph6 input must be a single token", position=0)
-    n, adj = _g6.decode(s.encode("ascii", errors="replace"))
+    if not s.isascii():
+        i = next(i for i, ch in enumerate(s) if not ch.isascii())
+        raise GraphParseError(f"non-ASCII character {s[i]!r} in graph6 input", position=i)
+    n, adj = _g6.decode(s.encode("ascii"))
     return Graph.from_masks((str(i) for i in range(n)), adj)
 
 
@@ -83,14 +74,11 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     """
     if fmt not in FORMATS:
         raise GraphParseError(f"unknown format {fmt!r} (expected one of {FORMATS})")
-    if fmt == "edgelist":
-        return parse_edge_list(text)
     if fmt == "graph6":
         return parse_graph6(text)
-    stripped = text.strip()
-    if stripped and len(stripped.split()) == 1 and "\n" not in stripped:
+    if fmt == "auto" and len(text.split(maxsplit=1)) == 1:
         try:
-            return parse_graph6(stripped)
+            return parse_graph6(text)
         except GraphParseError:
-            return parse_edge_list(text)
+            pass
     return parse_edge_list(text)

@@ -5,10 +5,11 @@ permutation-based isomorphism, labeled brute-force graph counting, Fraction
 Gaussian elimination for homology, gcd-of-minors for invariant factors,
 homology of the full complex with no core reduction, vertex domination read
 off the faces and the strong collapse by that face rule, a from-scratch
-graph6 reader, generation by extending every class and deduplicating
-through one set per order, automorphism groups and
-their orbits on vertex subsets from all n! permutations, greedy collapse by
-rescanning every face at each step, the graded dimensions of the
+graph6 reader, a graph6 codec that shifts one integer per bit (the
+reference for the library's column-wise codec), generation by extending
+every class and deduplicating through one set per order, automorphism
+groups and their orbits on vertex subsets from all n! permutations, greedy
+collapse by rescanning every face at each step, the graded dimensions of the
 exterior face ring modulo the vertex sum from ranks in the clique basis,
 flag-complex faces from every vertex subset, induced-pattern search
 that scans every vertex at each step, the canonical search with full
@@ -26,7 +27,7 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Generator, Optional
 
-from bbraag.errors import CapacityError, DomainError
+from bbraag.errors import CapacityError, DomainError, GraphParseError
 from bbraag.graphs import (
     Graph,
     central_vertices,
@@ -675,6 +676,97 @@ def decode_graph6_independent(text: str):
             k += 1
     assert all(b == 0 for b in bits[k:]), "nonzero padding"
     return n, edges
+
+
+# The graph6 codec as it stood before the library moved to one masked column
+# per vertex: one growing integer, shifted once per bit and once per 6-bit
+# group.  Same signatures, outputs and errors as ``bbraag._g6``.
+
+
+def reference_key_from_adj(n: int, adj) -> int:
+    key = 0
+    for j in range(1, n):
+        row = adj[j]
+        for i in range(j):
+            key = (key << 1) | ((row >> i) & 1)
+    return key
+
+
+def reference_adj_from_key(n: int, key: int) -> list[int]:
+    adj = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if (key >> pos) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def _reference_encode_size(n: int) -> bytes:
+    if n < 0:
+        raise ValueError("negative vertex count")
+    if n <= 62:
+        return bytes([n + 63])
+    if n <= 258047:
+        return bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    if n <= 68719476735:
+        return bytes([126, 126] + [63 + ((n >> s) & 63) for s in range(30, -1, -6)])
+    raise ValueError("vertex count exceeds graph6 range")
+
+
+def reference_encode(n: int, key: int) -> bytes:
+    nbits = n * (n - 1) // 2
+    pad = (-nbits) % 6
+    value = key << pad
+    groups = bytearray(_reference_encode_size(n))
+    for shift in range(nbits + pad - 6, -1, -6):
+        groups.append(63 + ((value >> shift) & 63))
+    return bytes(groups)
+
+
+def reference_decode(data: bytes) -> tuple[int, list[int]]:
+    if not data:
+        raise GraphParseError("empty graph6 string", position=0)
+    pos = 0
+    if data[pos] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            size_bytes, pos = data[2:8], 8
+            want = 6
+        else:
+            size_bytes, pos = data[1:4], 4
+            want = 3
+        if len(size_bytes) != want:
+            raise GraphParseError("truncated graph6 size", position=len(data))
+        n = 0
+        for b in size_bytes:
+            if not 63 <= b <= 126:
+                raise GraphParseError(f"invalid graph6 byte {b}", position=pos)
+            n = (n << 6) | (b - 63)
+    else:
+        b = data[0]
+        if not 63 <= b <= 126:
+            raise GraphParseError(f"invalid graph6 byte {b}", position=0)
+        n = b - 63
+        pos = 1
+    nbits = n * (n - 1) // 2
+    ngroups = (nbits + 5) // 6
+    body = data[pos:]
+    if len(body) != ngroups:
+        raise GraphParseError(
+            f"graph6 body for {n} vertices needs {ngroups} bytes, got {len(body)}",
+            position=pos,
+        )
+    value = 0
+    for off, b in enumerate(body):
+        if not 63 <= b <= 126:
+            raise GraphParseError(f"invalid graph6 byte {b}", position=pos + off)
+        value = (value << 6) | (b - 63)
+    pad = ngroups * 6 - nbits
+    if value & ((1 << pad) - 1):
+        raise GraphParseError("nonzero graph6 padding bits", position=len(data) - 1)
+    return n, reference_adj_from_key(n, value >> pad)
 
 
 def scanning_mcs_order(g: Graph) -> list[int]:

@@ -8,6 +8,10 @@ import pytest
 
 from bbraag.cli import main
 from bbraag.enumeration import PREDICATES
+from bbraag.formats import format_graph6
+from bbraag.patterns import complete_graph
+
+from oracles import decode_graph6_independent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -130,7 +134,6 @@ def classify_digest(capsys, graph6s):
 
 def connected_graph6s(max_v):
     from bbraag.enumeration import connected_graphs
-    from bbraag.formats import format_graph6
 
     return [format_graph6(g) for n in range(1, max_v + 1) for g in connected_graphs(n)]
 
@@ -195,6 +198,21 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_non_ascii_graph6_exit_2(capsys):
+    for argv, position in ((("classify", "--graph6", "Aé"), 1), (("homology", "--graph6", "é"), 0)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"bbraag: parse error: byte {position}: non-ASCII character 'é' in graph6 input\n"
+
+
+def test_non_utf8_input_exit_2(capsys, tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"a b\n\xff c\n")
+    code, out, err = run(capsys, "classify", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err == "bbraag: parse error: byte 4: input is not UTF-8: invalid start byte\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "classify", "--input", "/nonexistent/graph.txt")
     assert code == 2
@@ -215,27 +233,28 @@ def test_capacity_error_exit_4(capsys):
 
 @pytest.mark.parametrize("command", ["report", "homology"])
 def test_clique_budget_exit_4(capsys, command):
-    from bbraag.formats import format_graph6
-    from bbraag.patterns import complete_graph
-
     code, out, err = run(capsys, command, "--graph6", format_graph6(complete_graph(24)))
     assert code == 4 and out == ""
     assert "capacity error: more than" in err
+
+
+def run_subprocess(*argv, timeout):
+    import bbraag
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "bbraag", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 def test_report_long_path_exits_cleanly(tmp_path):
     # A path's structure derivation nests a split per cut vertex; P_800 is
     # inside the clique budget, so the report answers or exits 4, never with
     # a traceback.
-    import bbraag
-
     p = tmp_path / "p800.txt"
     p.write_text("".join(f"{i} {i + 1}\n" for i in range(799)))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bbraag", "report", "--input", str(p)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_subprocess("report", "--input", str(p), timeout=300)
     assert proc.returncode in (0, 4), proc.stderr
     assert "Traceback" not in proc.stderr
     if proc.returncode == 4:
@@ -245,18 +264,56 @@ def test_report_long_path_exits_cleanly(tmp_path):
 def test_report_p5000_exits_4(tmp_path):
     # P_5000 splits 4,998 times; the derivation stops at 400 nested splits.
     # The timeout only guards against a hang: it times nothing.
-    import bbraag
-
     p = tmp_path / "p5000.txt"
     p.write_text("".join(f"{i} {i + 1}\n" for i in range(4999)))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bbraag", "report", "--input", str(p)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_subprocess("report", "--input", str(p), timeout=60)
     assert proc.returncode == 4, proc.stderr
     assert "more than 400 splits" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_report_k1_2000_exits_0(tmp_path):
+    # Writing the star's 333 kB of graph6 is linear in its size.  The timeout
+    # only guards against a hang: it times nothing.
+    p = tmp_path / "k1_2000.txt"
+    p.write_text("".join(f"0 {i}\n" for i in range(1, 2001)))
+    proc = run_subprocess("report", "--input", str(p), "--format", "json", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    n, edges = decode_graph6_independent(json.loads(proc.stdout)["report"]["graph6"])
+    assert n == 2001
+    assert edges == {frozenset((0, i)) for i in range(1, 2001)}
+
+
+def test_classify_k2000_graph6_exits_4(tmp_path):
+    # The graph6 of K_2000 is read in time linear in its size, then the
+    # recognition bound refuses it.  The timeout only guards against a hang.
+    p = tmp_path / "k2000.g6"
+    p.write_text(format_graph6(complete_graph(2000)) + "\n")
+    proc = run_subprocess("classify", "--input", str(p), timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert "recognition is bounded to" in proc.stderr
+    assert proc.stdout == ""
+
+
+# sha256 of `report --format json` on graphs whose graph6 spans many 6-bit
+# groups and the 4-byte size header: the star K_{1,300} and the path P_300.
+REPORT_SHA256 = {
+    "K1_300": "648d44195b100c2532f850f07faaca38ce8cb79befaff28fb518ac79c8e649b8",
+    "P300": "134f2cfba5d02e373361fedb781e50525c4b8c0451f0c37f91c2f83d8b32756a",
+}
+
+
+def test_report_pinned_k1_300_and_p300(capsys, tmp_path):
+    inputs = {
+        "K1_300": "".join(f"0 {i}\n" for i in range(1, 301)),
+        "P300": "".join(f"{i} {i + 1}\n" for i in range(299)),
+    }
+    for name, text in inputs.items():
+        p = tmp_path / f"{name}.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "report", "--input", str(p), "--format", "json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name], name
 
 
 def test_scan_failures_exit_5(capsys, monkeypatch):
