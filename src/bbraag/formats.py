@@ -4,7 +4,8 @@ Edge-list grammar: one edge per line as two whitespace-separated labels, a
 line with a single label declares an isolated vertex, ``#`` starts a comment.
 Vertex order is first appearance, so parse -> serialize is the identity on
 canonical inputs.  Both formats are read straight into adjacency masks (a
-duplicate edge is a mask bit already set), in time linear in the text size.
+duplicate edge is a mask bit already set), in time linear in the text size;
+an edge list is split into lines one chunk at a time, not all at once.
 """
 
 from __future__ import annotations
@@ -14,12 +15,27 @@ from .errors import GraphParseError, ValidationError
 from .graphs import Graph
 
 FORMATS = ("edgelist", "graph6", "auto")
+# Characters of an edge list that _lines passes before it cuts a chunk after the next "\n".
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, split a chunk at a time.
+
+    A line always ends after a newline, so a cut just after one splits no
+    line and no CR LF pair.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
 
 
 def parse_edge_list(text: str) -> Graph:
     index: dict[str, int] = {}
     adj: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
         if len(parts) > 2:
             raise GraphParseError(

@@ -5,9 +5,9 @@ vertex order; boundary signs alternate over vertex deletions in that order.
 Reduced homology uses the augmented chain complex, so degree 0 counts
 components minus one and no degree is special-cased.  Homology in every ring
 is computed on the core of the complex.  Each boundary of the core is
-eliminated once, over Z, into its invariant factors: sparse unit pivots
-first, then Smith normal form of what is left.  Every ring reads its ranks off
-those factors; over F_p the rank counts the factors p does not divide.
+eliminated once, over Z, by sparse pivots into its invariant factors.  Every
+ring reads its ranks off those factors; over F_p the rank counts the factors p
+does not divide.
 
 A flag complex takes its core from its graph: in the 1-skeleton, v is
 dominated by u when N[v] lies inside N[u], so :func:`bbraag.graphs.dismantle`
@@ -33,6 +33,8 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
+from math import gcd
+from operator import index
 from typing import Optional
 
 from .errors import CapacityError, DomainError
@@ -40,7 +42,8 @@ from .graphs import Dismantling, Graph, _bits, _mask, clique_levels, dismantle
 
 IntegerMatrix = list[list[int]]
 
-DEFAULT_ENTRY_LIMIT = 10**100
+# Largest entry magnitude that _elimination_factors lets an operation make.
+ENTRY_LIMIT = 10**100
 # Lines holding a unit entry that one pivot search of _elimination_factors reads
 # before it takes the cheapest unit seen; a few lines pick nearly as well as all (Zlatev 1980).
 _UNIT_LINES = 2
@@ -207,118 +210,15 @@ class SNFResult:
     """Invariant factors d_1 | d_2 | ... of an integer matrix."""
 
     factors: tuple[int, ...]
-    left: Optional[tuple[tuple[int, ...], ...]] = None
-    right: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def rank(self) -> int:
         return len(self.factors)
 
 
-def smith_normal_form(
-    matrix: IntegerMatrix,
-    with_transforms: bool = False,
-    entry_limit: int = DEFAULT_ENTRY_LIMIT,
-) -> SNFResult:
-    """Deterministic SNF: pivot is the smallest nonzero magnitude, then position.
-
-    With ``with_transforms`` the unimodular witnesses U, V with U*M*V = D are
-    returned.  Intermediate entries beyond ``entry_limit`` raise CapacityError.
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise DomainError("ragged matrix")
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if with_transforms else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if with_transforms else None
-
-    def guard(x: int):
-        if abs(x) > entry_limit:
-            raise CapacityError(f"SNF entry magnitude exceeded {entry_limit}")
-
-    def row_sub(i: int, k: int, q: int):
-        ai, ak = a[i], a[k]
-        for j in range(n):
-            ai[j] -= q * ak[j]
-            guard(ai[j])
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(m):
-                ui[j] -= q * uk[j]
-
-    def col_sub(j: int, k: int, q: int):
-        for row in a:
-            row[j] -= q * row[k]
-            guard(row[j])
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[k]
-
-    def swap_rows(i: int, k: int):
-        for mat in (a, u) if u is not None else (a,):
-            mat[i], mat[k] = mat[k], mat[i]
-
-    def swap_cols(j: int, k: int):
-        for mat in (a, v) if v is not None else (a,):
-            for row in mat:
-                row[j], row[k] = row[k], row[j]
-
-    factors = []
-    t = 0
-    while True:
-        pivot = None
-        pmag = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (pmag is None or abs(x) < pmag):
-                    pivot, pmag = (i, j), abs(x)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            p = a[t][t]
-            # a nonzero remainder in the pivot's column or row becomes the smaller pivot
-            i = next((i for i in range(t + 1, m) if a[i][t] % p), None)
-            if i is not None:
-                row_sub(i, t, a[i][t] // p)
-                swap_rows(t, i)
-                continue
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_sub(i, t, a[i][t] // p)
-            j = next((j for j in range(t + 1, n) if a[t][j] % p), None)
-            if j is not None:
-                col_sub(j, t, a[t][j] // p)
-                swap_cols(t, j)
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    col_sub(j, t, a[t][j] // p)
-            offender = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
-            if offender is None:
-                break
-            for j in range(n):
-                a[t][j] += a[offender][j]
-                guard(a[t][j])
-            if u is not None:
-                for j in range(m):
-                    u[t][j] += u[offender][j]
-        if a[t][t] < 0:
-            for j in range(n):
-                a[t][j] = -a[t][j]
-            if u is not None:
-                for j in range(m):
-                    u[t][j] = -u[t][j]
-        factors.append(a[t][t])
-        t += 1
-    return SNFResult(
-        tuple(factors),
-        tuple(tuple(r) for r in u) if u is not None else None,
-        tuple(tuple(r) for r in v) if v is not None else None,
-    )
+def smith_normal_form(matrix: IntegerMatrix) -> SNFResult:
+    """Invariant factors of ``matrix``, by :func:`_elimination_factors`."""
+    return SNFResult(_elimination_factors(_matrix_entries(matrix)))
 
 
 def rank_over_field(matrix: IntegerMatrix, ring: str) -> int:
@@ -326,8 +226,17 @@ def rank_over_field(matrix: IntegerMatrix, ring: str) -> int:
     tag = normalize_ring(ring)
     if tag == "Z":
         raise DomainError("rank_over_field needs a field; use smith_normal_form over Z")
-    entries = ((i, j, x) for i, row in enumerate(matrix) for j, x in enumerate(row) if x)
-    return _rank(_elimination_factors(entries), tag)
+    return _rank(_elimination_factors(_matrix_entries(matrix)), tag)
+
+
+def _matrix_entries(matrix: IntegerMatrix) -> list[tuple[int, int, int]]:
+    """(row, col, value) of each nonzero entry; DomainError on a ragged matrix or a non-integer entry."""
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise DomainError("ragged matrix")
+    try:
+        return [(i, j, x) for i, row in enumerate(matrix) for j, x in enumerate(map(index, row)) if x]
+    except TypeError as e:
+        raise DomainError(f"matrix entries must be integers: {str(e)[:80]}") from None
 
 
 def _rank(factors: tuple[int, ...], tag: str) -> int:
@@ -340,20 +249,23 @@ def _rank(factors: tuple[int, ...], tag: str) -> int:
     return sum(1 for f in factors if not p or f % p)
 
 
-def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tuple[int, ...]:
+def _elimination_factors(entries) -> tuple[int, ...]:
     """Invariant factors of the integer matrix with these (row, col, value) entries.
 
-    Unit pivots go first, sparsely: rows are dicts, each column keeps its set
-    of rows, and each pivot is a unit entry of low Markowitz cost
-    (|row| - 1) * (|col| - 1).  Rows and columns are searched in order of
-    length (Duff-Reid), and the search stops at the first cost no unseen entry
-    can beat, or after :data:`_UNIT_LINES` lines that hold a unit entry, with
-    the cheapest unit seen (Zlatev 1980).  Row operations clear the pivot's
-    column; column operations that change nothing else then clear its row, so
-    it is struck out with a factor 1.  The block left with no unit entry goes
-    to :func:`smith_normal_form`.  Entries beyond ``entry_limit`` raise
-    CapacityError in both phases.
+    Rows are dicts and each column keeps its set of rows.  A pivot is a unit
+    entry of low Markowitz cost (|row| - 1) * (|col| - 1), searched in lines
+    of increasing length (Duff-Reid) until no unseen entry can cost less or
+    :data:`_UNIT_LINES` lines held a unit (Zlatev 1980); with no unit left,
+    it is an entry of least magnitude (Dumas-Saunders-Villard 2001).  Row
+    operations by ``divmod`` clear the pivot p's column but for remainders;
+    once it is clear, column operations that change only p's row leave each
+    entry y of it as y % p.  p is struck out when its row and column are
+    clear, else it stays and a remainder smaller than |p| is the next pivot,
+    so the loop ends.  The non-unit entries struck out become a divisibility
+    chain by pairwise gcd and lcm.  Entries beyond :data:`ENTRY_LIMIT` raise
+    CapacityError.
     """
+    limit = ENTRY_LIMIT
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, x in entries:
@@ -365,7 +277,8 @@ def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tup
             buckets.setdefault(len(line), set()).add(i)
 
     def move(side: int, i: int, old: int, new: int):
-        by_len[side][old].discard(i)
+        if old:
+            by_len[side][old].discard(i)
         if new:
             by_len[side].setdefault(new, set()).add(i)
 
@@ -386,8 +299,12 @@ def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tup
                     return pivot
         return pivot
 
-    units = 0
-    while (pivot := unit_pivot()) is not None:
+    def least_pivot() -> Optional[tuple[int, int]]:
+        least = min(((abs(x), r, c) for r, row in rows.items() for c, x in row.items()), default=None)
+        return least and least[1:]
+
+    units, diagonal = 0, []
+    while (pivot := unit_pivot() or least_pivot()) is not None:
         pr, pc = pivot
         prow, pcol = rows.pop(pr), cols.pop(pc)
         move(0, pr, len(prow), 0)
@@ -395,27 +312,48 @@ def _elimination_factors(entries, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> tup
         p = prow.pop(pc)
         pcol.discard(pr)
         touched = {c: len(cols[c]) for c in prow}
+        left = set()  # the rows that keep a remainder in p's column
         for r in pcol:
             row = rows[r]
             before = len(row)
-            q = row.pop(pc) * p  # row[pc] / p, as p is a unit
+            q, rest = divmod(row.pop(pc), p)
             for c, y in prow.items():
                 x = row.pop(c, 0) - q * y
-                if abs(x) > entry_limit:
-                    raise CapacityError(f"SNF entry magnitude exceeded {entry_limit}")
+                if abs(x) > limit:
+                    raise CapacityError(f"SNF entry magnitude exceeded {limit}")
                 if x:
                     row[c] = x
                     cols[c].add(r)
                 else:
                     cols[c].discard(r)
+            if rest:
+                row[pc] = rest
+                left.add(r)
             move(0, r, before, len(row))
         for c, length in touched.items():
             cols[c].discard(pr)
             move(1, c, length, len(cols[c]))
-        units += 1
-    keys = sorted(c for c, col in cols.items() if col)
-    rest = [[row.get(c, 0) for c in keys] for row in rows.values() if row]
-    return (1,) * units + smith_normal_form(rest, entry_limit=entry_limit).factors
+        if abs(p) == 1:
+            units += 1
+            continue
+        if not left:
+            prow = {c: y % p for c, y in prow.items() if y % p}
+            if not prow:
+                diagonal.append(abs(p))
+                continue
+        # p stays, with its row and the remainders in its column
+        for c in prow:
+            move(1, c, len(cols[c]), len(cols[c]) + 1)
+            cols[c].add(pr)
+        prow[pc] = p
+        rows[pr], cols[pc] = prow, left | {pr}
+        move(0, pr, 0, len(prow))
+        move(1, pc, 0, len(left) + 1)
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return (1,) * units + tuple(diagonal)
 
 
 # -- homology ----------------------------------------------------------------------

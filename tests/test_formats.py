@@ -192,3 +192,32 @@ def test_auto_format():
 def test_unknown_format():
     with pytest.raises(GraphParseError):
         parse_graph("a b", "dot")
+
+
+# every line boundary str.splitlines knows, "\r\n" included
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def test_chunked_lines_match_splitlines(monkeypatch):
+    import bbraag.formats
+
+    rng = random.Random(29)
+    texts = ["", "\n", "\r\n", "a", "a\n\n", "\r\r\n\n"]
+    texts += ["".join(rng.choice(LINE_BREAKS + ("a", "b c", " ")) for _ in range(rng.randint(0, 40))) for _ in range(2000)]
+    for chunk in (1, 2, 3, 7):
+        monkeypatch.setattr(bbraag.formats, "_CHUNK_CHARS", chunk)
+        for text in texts:
+            assert list(bbraag.formats._lines(text)) == text.splitlines(), (chunk, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_parse_error_line_after_each_line_break(monkeypatch, chunk):
+    import bbraag.formats
+
+    monkeypatch.setattr(bbraag.formats, "_CHUNK_CHARS", chunk)
+    for sep in LINE_BREAKS:
+        text = sep.join(["a b", "", "# c c", "b c", "c c", "d"])
+        with pytest.raises(ValidationError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == "line 5: self-loop at 'c'", repr(sep)
+        assert err.value.line == 5

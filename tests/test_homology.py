@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -198,7 +199,7 @@ def test_snf_properties_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        res = smith_normal_form(mat, with_transforms=True)
+        res = smith_normal_form(mat)
         # divisibility chain
         for a, b in zip(res.factors, res.factors[1:]):
             assert b % a == 0
@@ -210,22 +211,45 @@ def test_snf_properties_random():
             prod *= f
             if k <= 3:
                 assert prod == minor_gcd(mat, k)
-        # transform witnesses: U * M * V = diag(factors)
-        u, v = res.left, res.right
-        d = [
-            [sum(u[i][a] * mat[a][b] * v[b][j] for a in range(m) for b in range(n))
-             for j in range(n)]
-            for i in range(m)
-        ]
-        for i in range(m):
-            for j in range(n):
-                want = res.factors[i] if i == j and i < len(res.factors) else 0
-                assert d[i][j] == want
 
 
-def test_snf_entry_limit():
-    with pytest.raises(CapacityError):
-        smith_normal_form([[10**6, 1], [1, 10**6]], entry_limit=10**3)
+def test_snf_entry_limit(monkeypatch):
+    import bbraag.homology
+
+    monkeypatch.setattr(bbraag.homology, "ENTRY_LIMIT", 10**3)
+    with pytest.raises(CapacityError, match="SNF entry magnitude exceeded 1000"):
+        smith_normal_form([[10**6, 1], [1, 10**6]])
+
+
+def test_non_integer_entries_are_rejected():
+    # truncated by int(), these would give the factors (1, 2) and (), and the rank 0
+    with pytest.raises(DomainError):
+        smith_normal_form([[1.5, 0], [0, 2.7]])
+    with pytest.raises(DomainError):
+        smith_normal_form([[Fraction(1, 2)]])
+    with pytest.raises(DomainError):
+        rank_over_field([[0.5]], "Q")
+    # a ragged matrix has no factors or rank either
+    with pytest.raises(DomainError):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(DomainError):
+        rank_over_field([[1, 2], [3]], "Q")
+    assert smith_normal_form([[True, 0], [0, 4]]).factors == (1, 4)
+
+
+def unit_free_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    """About half zeros, the rest of magnitude 2 to 9, so no pivot is a unit at first."""
+    values = [v for v in range(-9, 10) if abs(v) > 1]
+    return [[rng.choice(values) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(m)]
+
+
+def test_snf_of_unit_free_square_matrices():
+    # least-magnitude pivots keep every entry under ENTRY_LIMIT; the factors run to ~50 and ~90 bits
+    for size, seed in ((15, 0), (15, 1), (25, 0)):
+        mat = unit_free_matrix(random.Random(f"unit-free/{size}/{seed}"), size, size)
+        factors = smith_normal_form(mat).factors
+        assert list(factors) == invariant_factors(integer_diagonal(mat)), (size, seed)
+        assert factors[-1].bit_length() > 40
 
 
 def test_homology_face_limit(monkeypatch):
@@ -262,15 +286,17 @@ def test_face_limit_without_dismantling_reads_the_full_complex():
 
 
 def test_elimination_factors_against_oracles():
-    # with and without unit entries: the sparse phase, the dense rest, and both
+    # with and without unit entries: unit pivots, least-magnitude pivots, and both
     rng = random.Random(43)
+    mats = []
     for trial in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         values = [v for v in range(-9, 10) if trial % 3 or abs(v) != 1]
-        mat = [[rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
+        mats.append([[rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)])
+    mats += [unit_free_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(60)]
+    for mat in mats:
         entries = [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
         factors = _elimination_factors(entries)
-        assert factors == smith_normal_form(mat).factors, mat
         assert list(factors) == invariant_factors(integer_diagonal(mat)), mat
         prod = 1
         for k, f in enumerate(factors, start=1):
@@ -284,14 +310,13 @@ def test_elimination_factors_against_oracles():
 def test_elimination_entry_limit_in_sparse_phase(monkeypatch):
     import bbraag.homology
 
-    def no_dense(*args, **kwargs):
-        raise AssertionError("the dense phase was reached")
-
-    monkeypatch.setattr(bbraag.homology, "smith_normal_form", no_dense)
+    monkeypatch.setattr(bbraag.homology, "ENTRY_LIMIT", 10)
     # the unit pivot at (0, 0) turns the 1 at (1, 1) into 1 - 5 * 5 = -24
-    entries = [(0, 0, 1), (0, 1, 5), (1, 0, 5), (1, 1, 1)]
     with pytest.raises(CapacityError):
-        _elimination_factors(entries, entry_limit=10)
+        _elimination_factors([(0, 0, 1), (0, 1, 5), (1, 0, 5), (1, 1, 1)])
+    # no unit: the pivot 2 at (0, 0) turns the -9 at (1, 1) into -9 - 2 * 9 = -27
+    with pytest.raises(CapacityError):
+        _elimination_factors([(0, 0, 2), (0, 1, 9), (1, 0, 4), (1, 1, -9)])
 
 
 def test_four_rings_eliminate_each_boundary_once(monkeypatch):
@@ -755,38 +780,16 @@ def assert_boundary_factors(c: SimplicialComplex):
             assert sum(1 for f in factors if f % p) == modular_rank(mat, p), (d, p)
 
 
-def record_snf_blocks(monkeypatch) -> list:
-    """Record (rows, columns, factors) of every block the unit pivots leave to SNF."""
-    import bbraag.homology
-
-    blocks = []
-    real = bbraag.homology.smith_normal_form
-
-    def recording(matrix, *args, **kwargs):
-        res = real(matrix, *args, **kwargs)
-        blocks.append((len(matrix), len(matrix[0]) if matrix else 0, res.factors))
-        return res
-
-    monkeypatch.setattr(bbraag.homology, "smith_normal_form", recording)
-    return blocks
-
-
-def test_boundary_factors_against_oracle_v7(monkeypatch):
-    blocks = record_snf_blocks(monkeypatch)
+def test_boundary_factors_against_oracle_v7():
     # the full complexes, not their cores, so every boundary of every graph is eliminated
     for g in [g for n in range(1, 8) for g in connected_graphs(n)]:
         assert_boundary_factors(flag_complex(g))
-    # the limited pivot search still finds a unit wherever one is left
-    assert blocks and all(block == (0, 0, ()) for block in blocks)
-    blocks.clear()
     rp2 = flag_complex(projective_plane_poset_graph())
     assert_boundary_factors(rp2)
     assert rp2.boundary_factors[2].count(2) == 1  # the torsion, so F_2 sees what Q does not
-    assert [f for *_, factors in blocks for f in factors] == [2]
 
 
-def test_boundary_factors_on_large_random_cores(monkeypatch):
-    blocks = record_snf_blocks(monkeypatch)
+def test_boundary_factors_on_large_random_cores():
     sizes = []
     for seed, n, percent in ((0, 28, 42), (1, 30, 40), (2, 26, 50)):
         rng = random.Random(seed)
@@ -796,7 +799,6 @@ def test_boundary_factors_on_large_random_cores(monkeypatch):
         assert_boundary_factors(core)
         sizes.append(max(core.face_count(d) for d in range(core.dim + 1)))
     assert all(150 <= k <= HOMOLOGY_FACE_LIMIT for k in sizes), sizes
-    assert blocks and all(block == (0, 0, ()) for block in blocks)
 
 
 def test_collapse_matches_rescanning_oracle():
