@@ -39,6 +39,29 @@ def canonical_search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
     return _search(n, adj)
 
 
+def compare_key(n: int, adj, bound: int) -> int:
+    """The sign (-1, 0 or 1) of ``canon_key(n, adj) - bound``.
+
+    ``bound`` must be the canonical key of some graph on ``n`` vertices.  The
+    search stops at its first leaf whose key is at most ``bound``: a smaller
+    leaf bounds the canonical key from above, and an equal one is a labeling
+    of the graph whose canonical key ``bound`` is, so ``adj`` is isomorphic to
+    that graph.
+    """
+    try:
+        key = _search(n, adj, bound)[0]
+    except _Settled as settled:
+        return settled.sign
+    return (key > bound) - (key < bound)
+
+
+class _Settled(Exception):
+    """Raised at the leaf that settles a :func:`compare_key`."""
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -46,8 +69,11 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
-    """The canonical key and the automorphisms found at equal-key leaves."""
+def _search(n: int, adj, bound: int = -1) -> tuple[int, list[tuple[int, ...]]]:
+    """The canonical key and the automorphisms found at equal-key leaves.
+
+    A leaf whose key is at most ``bound`` raises :class:`_Settled`.
+    """
     if n <= 1:
         return 0, []
     adj = tuple(adj)
@@ -63,9 +89,11 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
         refinements, so a cell is tried once, when it is new.  The first
         fresh cell that splits is then the first cell of the partition that
         splits, and every split is the one a pass over all cells would make.
+        A discrete partition is equitable, so refinement stops there, and a
+        pass that splits nothing builds no new partition.
         """
         i = 0
-        while i < len(parts):
+        while i < len(parts) < n:
             if not fresh[i]:
                 i += 1
                 continue
@@ -73,21 +101,23 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
             smask = 0
             for v in parts[i]:
                 smask |= 1 << v
-            new_parts = []
-            new_fresh = []
-            for cell, new in zip(parts, fresh):
+            new_parts = None
+            for j, cell in enumerate(parts):
                 if len(cell) > 1:
                     groups: dict[int, list[int]] = {}
                     for v in cell:
                         groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
                     if len(groups) > 1:
+                        if new_parts is None:
+                            new_parts, new_fresh = parts[:j], fresh[:j]
                         for count in sorted(groups):
                             new_parts.append(tuple(groups[count]))
                             new_fresh.append(True)
                         continue
-                new_parts.append(cell)
-                new_fresh.append(new)
-            if len(new_parts) > len(parts):
+                if new_parts is not None:
+                    new_parts.append(cell)
+                    new_fresh.append(fresh[j])
+            if new_parts is not None:
                 parts, fresh, i = new_parts, new_fresh, 0
         return parts
 
@@ -109,6 +139,8 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
         if target < 0:
             perm = [cell[0] for cell in parts]
             key = leaf_key(perm)
+            if key <= bound:
+                raise _Settled(-1 if key < bound else 0)
             best = state["best"]
             if best is None or key < best:
                 state["best"] = key
@@ -134,7 +166,7 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
         orbits = list(range(n))
         merged = 0
         tried: list[int] = []
-        for v in cell:
+        for at, v in enumerate(cell):
             if tried:
                 for a in autos[merged:]:
                     if all(a[p] == p for p in prefix):
@@ -147,7 +179,7 @@ def _search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
                 if any(_find(orbits, u) == rv for u in tried):
                     continue
             tried.append(v)
-            child = head + [(v,), tuple(u for u in cell if u != v)] + tail
+            child = head + [(v,), cell[:at] + cell[at + 1:]] + tail
             prefix.append(v)
             search(child, child_fresh[:])
             prefix.pop()

@@ -3,37 +3,50 @@
 Generation is canonical deletion (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  The deletion candidates T of a
 connected graph C are the vertices w whose removal leaves C connected and
-whose invariant (degree, then the sorted degrees of the neighbours) is
-largest; the canonical parent of C is the C - w, w in T, with the smallest
-canonical key.  Each (n-1)-vertex representative is extended by a new vertex
-v over every nonempty neighbourhood, and a child is kept only when v is in T
-and no w in T gives a smaller key than the parent's.  The rule reads only the
+whose (degree, sum of the neighbours' degrees) is largest.  The canonical
+parent of C is the C - w, w in T, with the smallest (rank, canonical key),
+where the rank of a graph is its sorted list of neighbour-degree sums.  Each
+(n-1)-vertex representative is extended by a new vertex v over every
+nonempty neighbourhood S, and a child is kept only when v is in T and no w
+in T gives a smaller (rank, key) than the parent's.  The rule reads only the
 isomorphism class of C, so every connected n-vertex graph has exactly one
 parent class, and no set spans parents.
 
-Two prunings skip work whose result is already known.  An automorphism of
-the parent extends to an isomorphism of the children over S and its image
-that fixes v, so both get the same verdict and the same key: the
-neighbourhoods are walked in ascending order and each orbit of the parent's
-automorphism group is processed once, at its smallest member (the generators
-the canonical search finds generate the whole group, which the tie rule
-below needs).  And a rival w that is a twin of v
-in the child (equal neighbourhoods apart from each other) is never tested:
-the swap of v and w is an automorphism of the child, so C - w is isomorphic
-to C - v, the parent, and cannot have a smaller key.
+The rank costs a few mask operations, so it settles most rivals before any
+canonical labelling, as nauty's geng ranks candidates by an invariant: a
+rival w whose C - w ranks below the parent rejects the child, one that ranks
+above it is skipped, and only a tied rank is compared with the parent's key
+by :func:`~bbraag.kernel.compare_key`.  That search stops at its first leaf
+whose key is at most the parent's; a leaf equal to it is a labelling of the
+parent, so C - w is isomorphic to it.
+
+Three prunings skip work whose result is already known.  No neighbourhood
+smaller than the largest degree of a vertex that does not cut the parent
+can put v in T, unless it has one vertex, so the neighbourhoods are walked
+by size from there.  An automorphism of the parent extends to an isomorphism
+of the children over S and its image that fixes v, so both get the same
+verdict and the same key: within each size the neighbourhoods are walked in
+ascending order and each orbit of the parent's automorphism group is
+processed once, at its smallest member (the generators the canonical search
+finds generate the whole group, which the tie rule below needs; each maps a
+subset as its low half and its high half, through two tables of at most
+2^ceil(m/2) entries).  And a rival w that is a twin of v in the child (equal
+neighbourhoods apart from each other) is never tested: the swap of v and w
+is an automorphism of the child, so C - w is isomorphic to C - v, the
+parent, and cannot rank or key below it.
 
 A child needs its own canonical key only when it ties.  Suppose the accepted
 children C over S and C' over S' of one parent, from different orbits, are
 isomorphic by phi.  Then phi(v) != v', or phi restricted to the parent would be an
 automorphism taking S to S'.  So w' = phi(v) is in T(C'), a rival of v' with
-C' - w' isomorphic to the parent, and it is no twin of v': composing phi with
-the swap of v' and w' would fix v'.  The rival test of C' therefore meets a
-non-twin rival whose deletion has the parent's key, and by symmetry so does
-that of C.  A child with no such tie is the only one of its class.  The tied
-children of a parent are gathered and bucketed by an isomorphism invariant
-(the sorted degree and neighbour degrees of every vertex); only the children
-that share a bucket get a key (22 of the 1,100 tied children of order 8),
-and only those keys meet in a set local to the parent.
+C' - w' isomorphic to the parent, so of equal rank and key, and it is no
+twin of v': composing phi with the swap of v' and w' would fix v'.  The
+rival test of C' therefore meets a non-twin rival whose deletion ties with
+the parent, and by symmetry so does that of C.  A child with no such tie is
+the only one of its class.  The tied children of a parent are gathered and
+bucketed by an isomorphism invariant (the sorted (degree, neighbour-degree
+sum) of every vertex); only the children that share a bucket get a key (22
+of order 8), and only those keys meet in a set local to the parent.
 
 Each parent costs one canonical search, which gives both its key and the
 generators of its automorphism group, and the parent may come in any
@@ -41,15 +54,16 @@ labeling.  A scan therefore walks the orders as labeled graphs: each order
 below its bound is built from the children of the one before and scanned as
 it is built, and the top order is streamed from the order below without
 being held.  No lower-order class is keyed only to be decoded again, so the
-v <= 8 scan makes 4,816 searches (996 parent searches and 3,820 kernel
-calls), where keying the lower orders made 6,902.  Its counts merge
-associatively and the failing list is sorted, so the result does not depend
-on the order of the work, and a worker pool takes chunks of each lower order
-and chunks of the top order's parents.  :func:`_canonical_reps`, whose key
-lists are ordered by canonical graph6 bytes, grows each order from the
-decoded keys of the one below and keys every child.  Each predicate receives
-one :class:`~bbraag.invariants.Analysis` per graph, the context the report
-uses.
+v <= 8 scan makes 2,801 searches: 996 parent searches, 1,783 rival
+comparisons and 22 keys.  Keying every rival made 4,816, and keying the
+lower orders too made 6,902.  Its counts merge associatively and the failing
+list is sorted, so the result does not depend on the order of the work, and
+a worker pool takes chunks of each lower order and chunks of the top order's
+parents.  :func:`_canonical_reps`, whose key lists are ordered by canonical
+graph6 bytes, grows each order from the decoded keys of the one below and
+keys every child.  Each predicate receives one
+:class:`~bbraag.invariants.Analysis` per graph, the context the report uses,
+on a :meth:`~bbraag.graphs.Graph.numbered` graph.
 """
 
 from __future__ import annotations
@@ -57,6 +71,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import _canon_py, _g6, kernel
@@ -101,7 +116,13 @@ def _children(adj: list[int]) -> Iterator[tuple[list[int], bytes | None]]:
     m = len(adj)
     parent_key, generators = _canon_py.canonical_search(m, adj)
     deg = [a.bit_count() for a in adj]
-    nbrs = [tuple(_bits(a)) for a in adj]
+    # A subset's degree sum, and its image under an automorphism, is that of
+    # its low half plus that of its high half.
+    split = (m + 1) // 2
+    half = (1 << split) - 1
+    low_degs, high_degs = _half_sums(deg, split)
+    nds = [low_degs[a & half] + high_degs[a >> split] for a in adj]  # neighbour-degree sums
+    parent_rank = sorted(nds)
     # The child minus u is connected iff S meets every component of the parent minus u.
     full = (1 << m) - 1
     parts = [_component_masks(m, adj, full & ~(1 << u)) for u in range(m)]
@@ -116,43 +137,65 @@ def _children(adj: list[int]) -> Iterator[tuple[list[int], bytes | None]]:
     for d in range(m, -1, -1):
         ge[d] |= ge[d + 1]
     vertex = 1 << m
-    images = [_subset_images(a, vertex) for a in generators]
+    images = [_half_sums([1 << x for x in a], split) for a in generators]
     seen = bytearray(vertex)
     tied: dict[tuple, list[list[int]]] = {}
-    for s in range(1, vertex):
-        k = s.bit_count()
-        # The degree test of _deletion_rivals on the vertices that do not cut
-        # the parent, which rejects most neighbourhoods before the orbit walk.
-        if seen[s] or k > 1 and (ge[k + 1] | eq[k] & s) & ~cut:
-            continue
-        # An automorphism of the parent, extended to fix v, maps the child
-        # over S onto the child over its image: same verdict, same key.
-        orbit = [s]
-        seen[s] = 1
-        for t in orbit:
-            for img in images:
-                if not seen[img[t]]:
-                    seen[img[t]] = 1
-                    orbit.append(img[t])
-        rivals = _deletion_rivals(s, deg, nbrs, parts, cut, eq, ge)
-        if rivals is None:
-            continue
-        grown = [a | vertex if s >> u & 1 else a for u, a in enumerate(adj)]
-        grown.append(s)
-        tie = False
-        for w in rivals:
-            # A twin w of v in the child gives C - w ≅ C - v, the parent itself.
-            if grown[w] & ~vertex == s & ~(1 << w):
+    # v must have the largest degree among the vertices that do not cut the
+    # parent unless |S| = 1, so no smaller neighbourhood is walked.
+    top = max(deg[u] for u in range(m) if not cut >> u & 1)
+    by_size = _by_size(m)
+    for k in (1, *range(max(top, 2), m + 1)):
+        for s in by_size[k]:
+            # The degree test of _deletion_rivals on the vertices that do not cut
+            # the parent, which rejects most neighbourhoods before the orbit walk.
+            if seen[s] or k > 1 and (ge[k + 1] | eq[k] & s) & ~cut:
                 continue
-            rival_key = kernel.canon_key(m, _delete(grown, w))
-            if rival_key < parent_key:
-                break
-            tie = tie or rival_key == parent_key
-        else:
-            if tie:
-                tied.setdefault(_degree_invariant(grown), []).append(grown)
+            # An automorphism of the parent, extended to fix v, maps the child
+            # over S onto the child over its image: same verdict, same key.
+            orbit = [s]
+            seen[s] = 1
+            for t in orbit:
+                lo, hi = t & half, t >> split
+                for low, high in images:
+                    img = low[lo] | high[hi]
+                    if not seen[img]:
+                        seen[img] = 1
+                        orbit.append(img)
+            degrees = low_degs[s & half] + high_degs[s >> split]  # the degree sum over S
+            rivals = _deletion_rivals(s, adj, nds, degrees, parts, cut, eq, ge)
+            if rivals is None:
+                continue
+            grown = [a | vertex if s >> u & 1 else a for u, a in enumerate(adj)]
+            grown.append(s)
+            if rivals:
+                # The child's neighbour-degree sums: S raises the degrees of its
+                # members, and v has degree k.
+                sums = [
+                    d + (a & s).bit_count() + (k if s >> u & 1 else 0)
+                    for u, (d, a) in enumerate(zip(nds, adj))
+                ]
+                sums.append(k + degrees)
+            tie = False
+            for w in rivals:
+                # A twin w of v in the child gives C - w ≅ C - v, the parent itself.
+                if grown[w] & ~vertex == s & ~(1 << w):
+                    continue
+                rank = _deleted_rank(grown, sums, w)
+                if rank != parent_rank:
+                    if rank < parent_rank:
+                        break
+                    continue
+                sign = kernel.compare_key(m, _delete(grown, w), parent_key)
+                if sign < 0:
+                    break
+                tie = tie or sign == 0
             else:
-                yield grown, None
+                if tie:
+                    # the (degree, neighbour-degree sum) of every vertex
+                    invariant = tuple(sorted(zip(map(int.bit_count, grown), sums)))
+                    tied.setdefault(invariant, []).append(grown)
+                else:
+                    yield grown, None
     # Only tied children can be isomorphic to one another, and only when
     # their invariants agree.
     for bucket in tied.values():
@@ -167,13 +210,37 @@ def _children(adj: list[int]) -> Iterator[tuple[list[int], bytes | None]]:
                 yield grown, key
 
 
-def _deletion_rivals(s: int, deg, nbrs, parts, cut: int, eq, ge) -> list[int] | None:
+def _half_sums(values: list[int], split: int) -> tuple[list[int], list[int]]:
+    """Sums of ``values`` over the subsets of the indices below ``split``, and of those from it.
+
+    Each list is indexed by the subset shifted down to bit 0, so neither has
+    more than 2^ceil(m/2) entries.  With ``values[i] = 1 << perm[i]`` a sum
+    is the image of the subset under ``perm``.
+    """
+    low, high = [0], [0]
+    for i, x in enumerate(values):
+        side = low if i < split else high
+        side += [y + x for y in side]
+    return low, high
+
+
+@lru_cache(maxsize=16)
+def _by_size(m: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets of m vertices as masks, by size, each size ascending."""
+    sizes: list[list[int]] = [[] for _ in range(m + 1)]
+    for s in range(1 << m):
+        sizes[s.bit_count()].append(s)
+    return tuple(map(tuple, sizes))
+
+
+def _deletion_rivals(s: int, adj, nds, degrees: int, parts, cut: int, eq, ge) -> list[int] | None:
     """Parent vertices tied with the new vertex v (joined to ``s``) as deletion candidates.
 
     A candidate leaves the child connected; the candidates with the largest
-    (degree, sorted neighbour degrees) form T.  None means v is not in T.
-    ``cut`` masks the cut vertices of the parent, ``eq[d]`` and ``ge[d]`` its
-    vertices of degree d and of degree at least d.
+    (degree, neighbour-degree sum) form T.  None means v is not in T.
+    ``nds`` are the parent's neighbour-degree sums and ``degrees`` the sum
+    of the degrees in S; ``cut`` masks the parent's cut vertices, ``eq[d]``
+    and ``ge[d]`` its vertices of degree d and of degree at least d.
     """
     k = s.bit_count()
     # A vertex u that does not cut the parent leaves the child connected
@@ -190,32 +257,30 @@ def _deletion_rivals(s: int, deg, nbrs, parts, cut: int, eq, ge) -> list[int] | 
     for u in _bits(level & check):
         if all(s & p for p in parts[u]):
             ties |= 1 << u
-    if not ties:
-        return []
-    own = sorted(deg[u] + 1 for u in _bits(s))
     rivals = []
-    for u in _bits(ties):
-        theirs = sorted([deg[x] + (s >> x & 1) for x in nbrs[u]] + [k] * (s >> u & 1))
-        if theirs > own:
-            return None
-        if theirs == own:
-            rivals.append(u)
+    if ties:
+        own = k + degrees
+        for u in _bits(ties):
+            theirs = nds[u] + (adj[u] & s).bit_count() + (k if s >> u & 1 else 0)
+            if theirs > own:
+                return None
+            if theirs == own:
+                rivals.append(u)
     return rivals
 
 
-def _degree_invariant(adj: list[int]) -> tuple:
-    """Sorted (degree, sorted neighbour degrees) of every vertex: equal on isomorphic graphs."""
-    deg = [a.bit_count() for a in adj]
-    return tuple(sorted((deg[u], tuple(sorted(deg[x] for x in _bits(a)))) for u, a in enumerate(adj)))
+def _deleted_rank(adj: list[int], sums: list[int], w: int) -> list[int]:
+    """Sorted neighbour-degree sums of the graph ``adj`` minus ``w``; ``sums`` are those of ``adj``.
 
-
-def _subset_images(perm: tuple[int, ...], size: int) -> list[int]:
-    """``img[t]`` is the vertex subset ``t`` (a bitmask below ``size``) mapped by ``perm``."""
-    img = [0] * size
-    for t in range(1, size):
-        low = t & -t
-        img[t] = img[t ^ low] | 1 << perm[low.bit_length() - 1]
-    return img
+    Deleting w takes w's degree off the sums of its neighbours, and one off a
+    sum for each neighbour shared with w.
+    """
+    nw = adj[w]
+    dw = nw.bit_count()
+    return sorted(
+        sums[x] - (a & nw).bit_count() - (dw if nw >> x & 1 else 0)
+        for x, a in enumerate(adj) if x != w
+    )
 
 
 def _delete(adj: list[int], w: int) -> list[int]:
@@ -227,10 +292,6 @@ def _delete(adj: list[int], w: int) -> list[int]:
 def _key_of(adj: list[int]) -> bytes:
     """Canonical graph6 key of the graph with adjacency masks ``adj``."""
     return _g6.encode(len(adj), kernel.canon_key(len(adj), adj))
-
-
-def _graph_from_masks(adj: list[int]) -> Graph:
-    return Graph.from_masks((str(i) for i in range(len(adj))), adj)
 
 
 def _check_order(n: int, capacity: int, what: str) -> None:
@@ -245,7 +306,7 @@ def connected_graphs(n: int, capacity: int = CAPACITY) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
     _check_order(n, capacity, "connected_graphs vertex count")
     for key in _canonical_reps(n):
-        yield _graph_from_masks(_g6.decode(key)[1])
+        yield Graph.numbered(_g6.decode(key)[1])
 
 
 def connected_graph_count(n: int, capacity: int = CAPACITY) -> int:
@@ -392,7 +453,7 @@ def _tally(name: str, ring: str, graphs) -> tuple[int, int, int, list[str]]:
     failing: list[str] = []
     for adj, key in graphs:
         examined += 1
-        is_app, ok = pred(Analysis(_graph_from_masks(adj)), ring)
+        is_app, ok = pred(Analysis(Graph.numbered(adj)), ring)
         if not is_app:
             continue
         applicable += 1

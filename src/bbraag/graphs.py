@@ -10,6 +10,7 @@ the structure queries and the canonical-labeling kernel fast without numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import _g6, kernel
@@ -56,6 +57,17 @@ class Graph:
         g._index = {v: i for i, v in enumerate(g.labels)}
         return g
 
+    @classmethod
+    def numbered(cls, adj) -> "Graph":
+        """The graph on the labels "0", "1", ... with adjacency masks ``adj``.
+
+        Graphs of one order share one label tuple and one index.
+        """
+        g = cls.__new__(cls)
+        g.adj = tuple(adj)
+        g.labels, g._index = _numbered_names(len(g.adj))
+        return g
+
     # -- elementary accessors -------------------------------------------------
 
     @property
@@ -88,7 +100,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -119,6 +131,13 @@ class Graph:
 
     def relabeled(self, mapping: dict[str, str]) -> "Graph":
         return Graph.from_masks((mapping.get(v, v) for v in self.labels), self.adj)
+
+
+@lru_cache(maxsize=32)
+def _numbered_names(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The labels "0" to str(n - 1) and their index, shared and never changed."""
+    labels = tuple(map(str, range(n)))
+    return labels, {v: i for i, v in enumerate(labels)}
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -285,30 +304,30 @@ def dismantle(g: Graph) -> Dismantling:
     On a flag complex "every facet through v contains u" is N[v] inside N[u],
     so the vertices left span the strong-collapse core of the flag complex
     (Nowakowski-Winkler 1983, Barmak-Minian 2012), found here without faces.
+    A vertex found undominated stays so until one of its neighbours is
+    deleted, so only the deleted vertex's neighbours are checked again.
     """
-    closed = [a | 1 << i for i, a in enumerate(g.adj)]
-    alive = (1 << g.n) - 1
+    adj = g.adj
+    alive = (1 << len(adj)) - 1
+    todo = alive  # the alive vertices not known to be undominated
     pairs = []
-    while True:
-        todo = alive
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            v = bit.bit_length() - 1
-            # the dominators of v: alive, not v, and in N[w] for every w in N[v]
-            common = alive ^ bit
-            around = closed[v] & alive
-            while around and common:
-                w = around & -around
-                around ^= w
-                common &= closed[w.bit_length() - 1]
-            if common:
-                u = (common & -common).bit_length() - 1
-                pairs.append((g.labels[v], g.labels[u]))
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        v = bit.bit_length() - 1
+        # v's lowest dominator: a neighbour u with N[v] inside N[u], among the
+        # alive; u is in N[v] but not in N(u), so N[v] - N(u) is then {u}
+        near = (adj[v] | bit) & alive
+        rest = near ^ bit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if near & ~adj[low.bit_length() - 1] == low:
+                pairs.append((g.labels[v], g.labels[low.bit_length() - 1]))
                 alive ^= bit
+                todo |= adj[v] & alive
                 break
-        else:
-            return Dismantling(tuple(pairs), alive)
+    return Dismantling(tuple(pairs), alive)
 
 
 # -- cliques -------------------------------------------------------------------
@@ -394,6 +413,7 @@ def clique_euler(adj, universe: int) -> int:
     CapacityError.
     """
     total = count = 0
+    budget = CLIQUE_BUDGET
     # (candidates, sign): the cliques K + v for v in candidates, signed by |K| + 1
     stack = [(universe, 1)]
     while stack:
@@ -401,7 +421,8 @@ def clique_euler(adj, universe: int) -> int:
         k = cands.bit_count()
         total += sign * k
         count += k
-        _over_budget(count)
+        if count > budget:
+            _over_budget(count)
         while cands:
             low = cands & -cands
             cands ^= low
@@ -419,9 +440,44 @@ def all_cliques(g: Graph) -> list[tuple[str, ...]]:
 
 
 def clique_number(g: Graph) -> int:
-    if g.n == 0:
+    """The size of a largest clique.
+
+    More than CLIQUE_BUDGET maximal cliques raise CapacityError.  A graph on
+    n vertices has fewer than 2^n cliques, so when 2^n - 1 is within the
+    budget no graph can raise, and a branch-and-bound search that lists no
+    clique stands in for Bron-Kerbosch.
+    """
+    n = len(g.adj)
+    if n == 0:
         return 0
-    return max(m.bit_count() for m in maximal_clique_masks(g.n, g.adj))
+    if (1 << n) - 1 > CLIQUE_BUDGET:
+        return max(m.bit_count() for m in maximal_clique_masks(n, g.adj))
+    return _maximum_clique(g.adj, (1 << n) - 1)
+
+
+def _maximum_clique(adj, universe: int) -> int:
+    """The clique number of the graph on ``universe``, by branch and bound.
+
+    A node is a clique of ``size`` with its candidates ``cands``, the common
+    neighbours not yet tried; it takes the lowest candidate or drops it, and
+    is cut off when ``size + |cands|`` cannot beat the best clique found.
+    """
+    best = 0
+    stack = [(universe, 0)]
+    while stack:
+        cands, size = stack.pop()
+        if size + cands.bit_count() <= best:
+            continue
+        low = cands & -cands
+        rest = cands ^ low
+        if rest:
+            stack.append((rest, size))
+        grow = rest & adj[low.bit_length() - 1]
+        if grow:
+            stack.append((grow, size + 1))
+        elif size + 1 > best:
+            best = size + 1
+    return best
 
 
 # -- canonical form -------------------------------------------------------------

@@ -256,7 +256,9 @@ def _elimination_factors(entries) -> tuple[int, ...]:
     entry of low Markowitz cost (|row| - 1) * (|col| - 1), searched in lines
     of increasing length (Duff-Reid) until no unseen entry can cost less or
     :data:`_UNIT_LINES` lines held a unit (Zlatev 1980); with no unit left,
-    it is an entry of least magnitude (Dumas-Saunders-Villard 2001).  Row
+    it is an entry of least magnitude (Dumas-Saunders-Villard 2001).  A
+    search that finds no unit is not repeated until an entry of magnitude 1
+    appears, which only a row operation or a ``y % p`` can make.  Row
     operations by ``divmod`` clear the pivot p's column but for remainders;
     once it is clear, column operations that change only p's row leave each
     entry y of it as y % p.  p is struck out when its row and column are
@@ -304,7 +306,14 @@ def _elimination_factors(entries) -> tuple[int, ...]:
         return least and least[1:]
 
     units, diagonal = 0, []
-    while (pivot := unit_pivot() or least_pivot()) is not None:
+    # False once a unit search found none and no entry of magnitude 1 was made since
+    unit_left = True
+    while True:
+        pivot = unit_pivot() if unit_left else None
+        if pivot is None:
+            unit_left = False
+            if (pivot := least_pivot()) is None:
+                break
         pr, pc = pivot
         prow, pcol = rows.pop(pr), cols.pop(pc)
         move(0, pr, len(prow), 0)
@@ -324,11 +333,14 @@ def _elimination_factors(entries) -> tuple[int, ...]:
                 if x:
                     row[c] = x
                     cols[c].add(r)
+                    if not unit_left and -2 < x < 2:
+                        unit_left = True
                 else:
                     cols[c].discard(r)
             if rest:
                 row[pc] = rest
                 left.add(r)
+                unit_left = unit_left or -2 < rest < 2
             move(0, r, before, len(row))
         for c, length in touched.items():
             cols[c].discard(pr)
@@ -341,6 +353,7 @@ def _elimination_factors(entries) -> tuple[int, ...]:
             if not prow:
                 diagonal.append(abs(p))
                 continue
+            unit_left = unit_left or any(-2 < y < 2 for y in prow.values())
         # p stays, with its row and the remainders in its column
         for c in prow:
             move(1, c, len(cols[c]), len(cols[c]) + 1)

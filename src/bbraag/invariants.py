@@ -18,7 +18,7 @@ table, :data:`INEQUALITIES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .errors import CapacityError, DomainError, NotSupportedError
@@ -56,6 +56,27 @@ from .recognition import (
 # -- shared per-graph context ----------------------------------------------------
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes before Python 3.12.
+
+    The first access stores the value in the instance dict, which later
+    accesses read without calling the descriptor.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Analysis:
     """What one call derives from one graph, each part computed at most once.
 
@@ -73,33 +94,33 @@ class Analysis:
         self.graph = g
         self._homology: dict[str, HomologyGroups] = {}
 
-    @cached_property
+    @_cached
     def complex(self) -> SimplicialComplex:
         """The flag complex, handed ``core`` so the graph is dismantled once."""
         return flag_complex(self.graph, self.core)
 
-    @cached_property
+    @_cached
     def core(self) -> Dismantling:
         return dismantle(self.graph)
 
-    @cached_property
+    @_cached
     def dim(self) -> int:
         """Dimension of the flag complex: the clique number minus one."""
         return clique_number(self.graph) - 1
 
-    @cached_property
+    @_cached
     def collapse(self) -> CollapseResult:
         return collapse_to_point(self.complex)
 
-    @cached_property
+    @_cached
     def block_cut_tree(self) -> BlockCutTree:
         return block_cut_tree(self.graph)
 
-    @cached_property
+    @_cached
     def chordality(self) -> ChordalityResult:
         return is_chordal(self.graph)
 
-    @cached_property
+    @_cached
     def tree_of_droms(self) -> TreeOfDromsResult:
         """Handed the chordality, and the block-cut tree whenever the decomposition reads it."""
         tree = self.block_cut_tree if self.chordality.chordal and is_connected(self.graph) else None
@@ -125,7 +146,7 @@ class Analysis:
             return False
         return self.homology(ring).trivial()
 
-    @cached_property
+    @_cached
     def _core_euler(self) -> int:
         return clique_euler(self.graph.adj, self.core.alive)
 
@@ -463,6 +484,12 @@ DROMS_TREE_BOUND_NOTE = (
 )
 
 
+@lru_cache(maxsize=64)
+def _skipped(name: str, reason: str) -> InequalityOutcome:
+    """The outcome of a check that does not apply; frozen, so one is shared."""
+    return InequalityOutcome(name, False, reason=reason)
+
+
 def _holds(name: str, lhs: int, rhs: int, note: str = "") -> InequalityOutcome:
     passed = lhs >= rhs
     return InequalityOutcome(name, True, "", lhs, rhs, passed, "" if passed else note)
@@ -472,23 +499,24 @@ def _turan_nonneg(a: Analysis, ring: str) -> InequalityOutcome:
     """omega(RAAG) >= 0, with cd(RAAG) the clique number."""
     g = a.graph
     if not g.n:
-        return InequalityOutcome("turan_nonneg", False, reason="empty graph")
+        return _skipped("turan_nonneg", "empty graph")
     return _holds("turan_nonneg", _omega_raw(g.n, g.edge_count, a.dim + 1), 0)
 
 
 def _acyclic_dim_bound(a: Analysis, ring: str) -> InequalityOutcome:
     """n(v^2 - 2e - 1) >= (v - 1)^2 on an acyclic n-dimensional flag complex."""
-    v, e = a.graph.n, a.graph.edge_count
+    v = a.graph.n
     if not (v and a.acyclic(ring)):
         reason = f"flag complex not acyclic over {ring}"
-        return InequalityOutcome("acyclic_dim_bound", False, reason=reason)
+        return _skipped("acyclic_dim_bound", reason)
+    e = a.graph.edge_count
     return _holds("acyclic_dim_bound", a.dim * (v * v - 2 * e - 1), (v - 1) ** 2)
 
 
 def _droms_tree_bound(a: Analysis, ring: str) -> InequalityOutcome:
     v, e = a.graph.n, a.graph.edge_count
     if not a.tree_of_droms.tree_of_droms:
-        return InequalityOutcome("droms_tree_bound", False, reason="not a tree of Droms graphs")
+        return _skipped("droms_tree_bound", "not a tree of Droms graphs")
     lhs = a.dim * (v * v - 2 * e - 2)
     return _holds("droms_tree_bound", lhs, (v - 1) ** 2, DROMS_TREE_BOUND_NOTE)
 
@@ -497,7 +525,7 @@ def _two_dim_edge_bound(a: Analysis, ring: str) -> InequalityOutcome:
     v, e = a.graph.n, a.graph.edge_count
     if not (v and a.dim == 2 and a.acyclic(ring)):
         reason = "needs an acyclic 2-dimensional flag complex"
-        return InequalityOutcome("two_dim_edge_bound", False, reason=reason)
+        return _skipped("two_dim_edge_bound", reason)
     return _holds("two_dim_edge_bound", (v + 1) ** 2, 4 * (e + 1))
 
 

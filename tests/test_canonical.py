@@ -102,6 +102,44 @@ def test_backends_match_reference(name, module_name):
         assert module.canon_key(n, tuple(adj)) == _canon_py.canon_key(n, tuple(adj))
 
 
+@pytest.mark.parametrize("name", ["pure-python", "cython"])
+def test_compare_key_sign(name):
+    # compare_key(n, adj, bound) is the sign of canon_key(n, adj) - bound for
+    # a bound that is a canonical key: the key itself, and the canonical keys
+    # of the seeded graphs of the same order just below and just above it.
+    # Any bound below the key is legal too, so key - 1 is tried as well.
+    module = dict(kernel.available_backends()).get(name)
+    if module is None:
+        pytest.skip(f"the {name} kernel is not built in this environment")
+    compare = kernel.backend_compare(module)
+    rng = random.Random(41)
+    by_order: dict[int, list[list[int]]] = {n: [] for n in range(11)}
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.2, 0.5, 0.8))
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        by_order[n].append(adj)
+    for n in range(3, 11):
+        by_order[n] += [list(complete_graph(n).adj), list(cycle_graph(n).adj)]
+    signs = set()
+    for n, graphs in by_order.items():
+        keys = sorted({_canon_py.canon_key(n, adj) for adj in graphs})
+        for adj in graphs:
+            key = _canon_py.canon_key(n, adj)
+            at = keys.index(key)
+            bounds = [key, key - 1] + keys[max(at - 1, 0):at] + keys[at + 1:at + 2]
+            for bound in bounds:
+                sign = (key > bound) - (key < bound)
+                assert compare(n, adj, bound) == sign, (n, adj, bound)
+                signs.add(sign)
+    assert signs == {-1, 0, 1}
+
+
 def relabeled(rng, n, adj):
     p = list(range(n))
     rng.shuffle(p)

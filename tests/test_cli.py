@@ -161,6 +161,21 @@ def test_classify_pinned_v8(capsys):
     assert classify_digest(capsys, graph6s) == CLASSIFY_V8_SHA256
 
 
+# sha256 of the stdout of `scan acyclic_dim_bound --max-v 9 --ring Z --format json
+# --workers 1`, from the generator that keyed every deletion rival.
+SCAN_V9_SHA256 = "218fa24eaf1b582e0659d84f1aaf102e45035f3ae8d408366c65373748046194"
+
+
+@pytest.mark.slow
+def test_scan_v9_pinned(capsys):
+    code, out, _ = run(
+        capsys, "scan", "acyclic_dim_bound", "--max-v", "9", "--ring", "Z",
+        "--format", "json", "--workers", "1",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_V9_SHA256
+
+
 def test_structure_gem_golden(capsys, gem_file):
     code, out, _ = run(capsys, "structure", "--input", gem_file)
     assert code == 0

@@ -45,6 +45,7 @@ def test_generation_matches_seen_set_oracle(name, seen_set_reps, monkeypatch):
         pytest.skip(f"the {name} kernel is not built in this environment")
     monkeypatch.setattr(enumeration, "_reps_cache", {})
     monkeypatch.setattr(kernel, "canon_key", module.canon_key)
+    monkeypatch.setattr(kernel, "compare_key", kernel.backend_compare(module))
     for n in range(1, 8):
         assert _canonical_reps(n) == seen_set_reps[n], n
 
@@ -60,29 +61,32 @@ def assert_canonical_and_connected(n, keys):
 
 
 def count_searches(monkeypatch):
-    """Count the calls of both search entry points, kernel.canon_key and the
-    parent search _canon_py.canonical_search, in one counter."""
+    """Count the calls of every search entry point, kernel.canon_key, the rival
+    comparison kernel.compare_key and the parent search
+    _canon_py.canonical_search, in one counter."""
     calls = [0]
 
     def counting(real):
-        def wrapper(n, adj):
+        def wrapper(*args):
             calls[0] += 1
-            return real(n, adj)
+            return real(*args)
 
         return wrapper
 
     monkeypatch.setattr(kernel, "canon_key", counting(kernel.canon_key))
+    monkeypatch.setattr(kernel, "compare_key", counting(kernel.compare_key))
     monkeypatch.setattr(_canon_py, "canonical_search", counting(_canon_py.canonical_search))
     return calls
 
 
 def test_generation_kernel_budget_v8(monkeypatch):
-    # Canonical deletion, pruned by parent orbits and twin rivals, takes
-    # 15,929 canon_key calls and 996 parent searches for n <= 8.
+    # Canonical deletion for n <= 8: 996 parent searches, 12,118 keys of
+    # children and 1,769 rival comparisons; ranking the rivals by their
+    # neighbour-degree sums before any comparison leaves 14,883 searches.
     enumeration._reps_cache.clear()
     calls = count_searches(monkeypatch)
     reps = {n: _canonical_reps(n) for n in range(1, 9)}
-    assert calls[0] <= 17_000
+    assert calls[0] <= 14_883
     monkeypatch.undo()
     assert [len(reps[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11_117]
     for n, keys in reps.items():
@@ -128,24 +132,32 @@ def test_children_are_one_per_class_of_the_next_order():
 
 
 def test_scan_kernel_budget_v8(monkeypatch):
-    # Each class below the top order is searched once, as a parent (996),
-    # and the top order keys only the tied children whose invariants meet:
-    # 4,816 searches in all, where keying the lower orders and decoding them
-    # again as parents made 6,902.
+    # Each class below the top order is searched once, as a parent (996).
+    # A rival is compared with the parent only when its neighbour-degree sums
+    # tie (1,783 comparisons, where keying every rival made 3,820), and only
+    # the tied children whose invariants meet are keyed (22): 2,801 searches.
     monkeypatch.setattr(enumeration, "_reps_cache", {})
     calls = count_searches(monkeypatch)
     rep = scan_property("acyclic_dim_bound", 8)
     assert (rep.examined, rep.applicable, rep.failed) == (12_113, 4_294, 0)
-    assert calls[0] <= 5_000
+    assert calls[0] <= 2_801
 
 
-def test_subset_images_map_every_subset():
+def test_half_sums_map_every_subset():
+    # A subset's image under a permutation, and its sum of degrees, from two
+    # tables of at most 2^ceil(m/2) entries.
     rng = random.Random(8)
-    for m in range(1, 9):
+    for m in range(1, 10):
         perm = list(range(m))
         rng.shuffle(perm)
-        img = enumeration._subset_images(tuple(perm), 1 << m)
-        assert img == [sum(1 << perm[i] for i in range(m) if t >> i & 1) for t in range(1 << m)]
+        degrees = [rng.randrange(m) for _ in range(m)]
+        split = (m + 1) // 2
+        for values in ([1 << p for p in perm], degrees):
+            low, high = enumeration._half_sums(values, split)
+            assert len(low) == 1 << split and len(high) == 1 << (m - split)
+            for t in range(1 << m):
+                total = low[t & (1 << split) - 1] + high[t >> split]
+                assert total == sum(values[i] for i in range(m) if t >> i & 1), (values, t)
 
 
 def test_no_rival_test_for_a_twin_of_v(monkeypatch):

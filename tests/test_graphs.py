@@ -18,6 +18,7 @@ from bbraag.graphs import (
     connected_components,
     cut_vertices,
     is_connected,
+    maximal_clique_masks,
 )
 from bbraag.patterns import (
     complete_graph,
@@ -253,6 +254,20 @@ def test_clique_number():
     assert clique_number(star_graph(3)) == 2
     assert clique_number(Graph([])) == 0
     assert clique_number(Graph(["a"])) == 1
+
+
+def test_clique_number_branch_and_bound_matches_bron_kerbosch():
+    # Up to 17 vertices no graph has more than CLIQUE_BUDGET cliques, and the
+    # branch and bound answers; Bron-Kerbosch is the reference.
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 17)
+        p = rng.choice((0.2, 0.5, 0.8, 0.95))
+        labels = [str(i) for i in range(n)]
+        edges = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < p]
+        g = Graph(labels, edges)
+        expected = max(m.bit_count() for m in maximal_clique_masks(g.n, g.adj))
+        assert clique_number(g) == expected, g.edges()
 
 
 def test_clique_budget(monkeypatch):

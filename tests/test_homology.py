@@ -244,8 +244,10 @@ def unit_free_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
 
 
 def test_snf_of_unit_free_square_matrices():
-    # least-magnitude pivots keep every entry under ENTRY_LIMIT; the factors run to ~50 and ~90 bits
-    for size, seed in ((15, 0), (15, 1), (25, 0)):
+    # least-magnitude pivots keep every entry under ENTRY_LIMIT; the factors
+    # run to ~50, ~90 and ~160 bits.  Most pivots find no unit, and the unit
+    # search is skipped until a unit can have appeared.
+    for size, seed in ((size, seed) for size in (15, 25, 40) for seed in range(3)):
         mat = unit_free_matrix(random.Random(f"unit-free/{size}/{seed}"), size, size)
         factors = smith_normal_form(mat).factors
         assert list(factors) == invariant_factors(integer_diagonal(mat)), (size, seed)

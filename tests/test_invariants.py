@@ -7,6 +7,7 @@ import pytest
 import bbraag.invariants as invariants
 from bbraag.errors import CapacityError, DomainError, NotSupportedError
 from bbraag.graphs import Graph, central_vertices, is_connected
+from bbraag.homology import flag_complex
 from bbraag.invariants import (
     Analysis,
     ConeStrip,
@@ -300,6 +301,44 @@ def test_inequality_examples():
 
     res = inequality_checks(cycle_graph(5))
     assert not res["acyclic_dim_bound"].applicable
+
+
+def test_inequality_checks_on_k24():
+    # K_24 has 2^24 - 1 cliques, far over CLIQUE_BUDGET: its one-vertex core
+    # decides acyclicity before any clique is walked, and Bron-Kerbosch meets
+    # its one maximal clique.
+    res = inequality_checks(complete_graph(24))
+    bound = res["acyclic_dim_bound"]
+    assert bound.applicable and bound.passed
+    assert (bound.lhs, bound.rhs) == (23 * (24 * 24 - 2 * 276 - 1), 23 * 23)
+
+
+PREDICATE_RINGS = ("Z", "Q", "Fp:2", "Fp:3")
+
+
+def assert_predicate_matches_oracle(g):
+    """``Analysis.acyclic`` over every ring and ``Analysis.dim`` against the
+    homology of the whole flag complex and its brute-force faces."""
+    c = flag_complex(g)
+    dim = len(oracles.brute_flag_faces(g)) - 1
+    for ring in PREDICATE_RINGS:
+        groups = oracles.reference_homology(c, ring)
+        acyclic = g.n > 0 and all(group == (0, ()) for group in groups)
+        a = Analysis(g)
+        assert a.acyclic(ring) == acyclic, (g, ring)
+        assert a.dim == dim, g
+
+
+def test_predicate_matches_oracle_v7():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert_predicate_matches_oracle(g)
+
+
+@pytest.mark.slow
+def test_predicate_matches_oracle_v8():
+    for g in connected_graphs(8):
+        assert_predicate_matches_oracle(g)
 
 
 def test_two_dim_edge_bound():
