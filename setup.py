@@ -2,21 +2,14 @@
 
 The package works without it (bbraag.kernel falls back to the pure-Python
 twin), so the extension is marked optional: a missing C compiler only costs
-speed, never functionality.  With Cython installed the extension is
-generated from ``_canon_cy.pyx``; without it the tracked ``_canon_cy.c``
-(generated from the same source) is compiled directly.
+speed, never functionality.  The extension is compiled from the tracked
+``_canon_cy.c``, the one source the compiled-kernel tests run against, so
+every build compiles the same C.  After editing ``_canon_cy.pyx``,
+regenerate that file with Cython 3.2.8 and commit it::
+
+    cython -3 src/bbraag/_canon_cy.pyx    # writes src/bbraag/_canon_cy.c
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = [Extension("bbraag._canon_cy", ["src/bbraag/_canon_cy.c"], optional=True)]
-else:
-    ext_modules = cythonize(
-        [Extension("bbraag._canon_cy", ["src/bbraag/_canon_cy.pyx"], optional=True)],
-        language_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("bbraag._canon_cy", ["src/bbraag/_canon_cy.c"], optional=True)])

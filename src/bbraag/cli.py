@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 
-from .enumeration import CAPACITY, PREDICATES, scan_property
+from .enumeration import PREDICATES, scan_property
 from .errors import CapacityError, DomainError, GraphParseError, NotSupportedError
 from .formats import FORMATS, format_graph6, parse_graph
 from .graphs import Graph
+from .homology import normalize_ring
 from .invariants import Analysis, bb_structure_graph, finitely_presented_group, invariant_report
 from .recognition import check_recognition_size, is_droms, is_ptolemaic
 
@@ -88,8 +89,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-v", type=int, default=8, metavar="N")
     p.add_argument("--ring", default="Z", metavar="RING")
     p.add_argument("--workers", type=int, default=1, metavar="K")
-    p.add_argument("--capacity", type=int, default=CAPACITY, metavar="N",
-                   help=f"hard vertex bound for scans (default and maximum {CAPACITY})")
     _add_output_args(p)
     return parser
 
@@ -175,7 +174,8 @@ def cmd_classify(args) -> int:
 
 
 def _rings_of(args) -> tuple[str, ...]:
-    return tuple(args.ring) if args.ring else ("Z", "Q")
+    """The normalized ring tags of ``--ring``, each once, in order of first mention."""
+    return tuple(dict.fromkeys(map(normalize_ring, args.ring or ("Z", "Q"))))
 
 
 def cmd_report(args) -> int:
@@ -292,10 +292,7 @@ def cmd_structure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = scan_property(
-        args.predicate, args.max_v, ring=args.ring,
-        capacity=args.capacity, workers=args.workers,
-    )
+    report = scan_property(args.predicate, args.max_v, ring=args.ring, workers=args.workers)
     payload = {"scan": report.to_json()}
     _emit(args, payload, report.to_text())
     return EXIT_OK if report.failed == 0 else EXIT_SCAN_FAILURES

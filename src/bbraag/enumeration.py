@@ -53,15 +53,17 @@ generators of its automorphism group, and the parent may come in any
 labeling.  A scan therefore walks the orders as labeled graphs: each order
 below its bound is built from the children of the one before and scanned as
 it is built, and the top order is streamed from the order below without
-being held.  No lower-order class is keyed only to be decoded again, so the
-v <= 8 scan makes 2,801 searches: 996 parent searches, 1,783 rival
-comparisons and 22 keys.  Keying every rival made 4,816, and keying the
-lower orders too made 6,902.  Its counts merge associatively and the failing
-list is sorted, so the result does not depend on the order of the work, and
-a worker pool takes chunks of each lower order and chunks of the top order's
-parents.  :func:`_canonical_reps`, whose key lists are ordered by canonical
-graph6 bytes, grows each order from the decoded keys of the one below and
-keys every child.  Each predicate receives one
+being held.  A held graph is one bytes string of its adjacency masks, and a
+scanned graph is keyed only when it fails.  No lower-order class is keyed
+only to be decoded again, so the v <= 8 scan makes 2,801 searches: 996
+parent searches, 1,783 rival comparisons and 22 keys.  Keying every rival
+made 4,816, and keying the lower orders too made 6,902.  Its counts merge
+associatively and the failing list is sorted, so the result does not depend
+on the order of the work, and a worker pool takes chunks of each lower order
+and chunks of the top order's parents, each through :func:`_scan`.
+:func:`_canonical_reps`, whose key lists are ordered by canonical graph6
+bytes, grows each order from the decoded keys of the one below and keys
+every child.  Each predicate receives one
 :class:`~bbraag.invariants.Analysis` per graph, the context the report uses,
 on a :meth:`~bbraag.graphs.Graph.numbered` graph.
 """
@@ -294,23 +296,20 @@ def _key_of(adj: list[int]) -> bytes:
     return _g6.encode(len(adj), kernel.canon_key(len(adj), adj))
 
 
-def _check_order(n: int, capacity: int, what: str) -> None:
-    """A caller's capacity may lower the vertex bound but never raise it above CAPACITY."""
-    if capacity > CAPACITY:
-        raise CapacityError(f"capacity may not exceed {CAPACITY} vertices, got {capacity}")
-    if not 1 <= n <= capacity:
-        raise CapacityError(f"{what} must be within 1..{capacity}, got {n}")
+def _check_order(n: int, what: str) -> None:
+    if not 1 <= n <= CAPACITY:
+        raise CapacityError(f"{what} must be within 1..{CAPACITY}, got {n}")
 
 
-def connected_graphs(n: int, capacity: int = CAPACITY) -> Iterator[Graph]:
+def connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
-    _check_order(n, capacity, "connected_graphs vertex count")
+    _check_order(n, "connected_graphs vertex count")
     for key in _canonical_reps(n):
         yield Graph.numbered(_g6.decode(key)[1])
 
 
-def connected_graph_count(n: int, capacity: int = CAPACITY) -> int:
-    _check_order(n, capacity, "connected_graphs vertex count")
+def connected_graph_count(n: int) -> int:
+    _check_order(n, "connected_graphs vertex count")
     return len(_canonical_reps(n))
 
 
@@ -427,90 +426,69 @@ class ScanReport:
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"predicate    {self.predicate}",
-            f"ring         {self.ring}",
-            f"max vertices {self.max_vertices}",
-            f"examined     {self.examined}",
-            f"applicable   {self.applicable}",
-            f"passed       {self.passed}",
-            f"failed       {self.failed}",
-            f"skipped      {self.skipped}",
-        ]
+        fields = self.to_json()
+        del fields["failing"]
+        lines = [f"{key.replace('_', ' '):<13}{value}" for key, value in fields.items()]
         if self.failing:
             lines.append("failing graphs (graph6):")
             lines.extend(f"  {g6}" for g6 in self.failing)
         return "\n".join(lines)
 
 
-def _tally(name: str, ring: str, graphs) -> tuple[int, int, int, list[str]]:
-    """Counts of ``graphs``, (adjacency masks, canonical key or None) pairs.
+def _scan(job) -> tuple[int, int, int, list[str]]:
+    """Counts of one job ``(predicate, ring, children, graphs)``, and its failing graph6 keys.
 
-    Only a failing graph needs its canonical key; a missing one is computed.
+    ``graphs`` are adjacency masks, one graph per class; with ``children``
+    their children are scanned instead.  Only a failing graph is keyed.
     """
+    name, ring, children, graphs = job
+    if children:
+        graphs = (grown for grown, _ in _grow(graphs))
     pred = PREDICATES[name]
     examined = applicable = passed = 0
     failing: list[str] = []
-    for adj, key in graphs:
+    for adj in graphs:
         examined += 1
-        is_app, ok = pred(Analysis(Graph.numbered(adj)), ring)
+        g = Graph.numbered(adj)
+        is_app, ok = pred(Analysis(g), ring)
         if not is_app:
             continue
         applicable += 1
         if ok:
             passed += 1
         else:
-            key = key or _key_of(adj)
-            failing.append(key.decode("ascii"))
+            failing.append(_key_of(g.adj).decode("ascii"))
     return examined, applicable, passed, failing
-
-
-def _scan_chunk(args) -> tuple[int, int, int, list[str]]:
-    """Scan ``items``, (adjacency masks, canonical key or None) pairs."""
-    name, ring, items = args
-    return _tally(name, ring, items)
-
-
-def _scan_parents(args) -> tuple[int, int, int, list[str]]:
-    """Scan the children of the graphs with adjacency masks ``parents``, one per class."""
-    name, ring, parents = args
-    return _tally(name, ring, _grow(parents))
-
-
-def _run_job(job) -> tuple[int, int, int, list[str]]:
-    scan, args = job
-    return scan(args)
 
 
 def _scan_jobs(predicate: str, ring: str, max_vertices: int, chunks: int):
     """The jobs of a scan, one order after another, each split into up to ``chunks``.
 
-    Every order below the top is built from the one before and scanned as
-    items; the top order is streamed from the children of the order below.
+    Every order below the top is built from the one before and scanned; the
+    top order is streamed from the children of the order below.
     """
 
-    def split(scan, items):
-        size = max(1, -(-len(items) // chunks))
-        for i in range(0, len(items), size):
-            yield scan, (predicate, ring, items[i:i + size])
+    def split(children, graphs):
+        size = max(1, -(-len(graphs) // chunks))
+        for i in range(0, len(graphs), size):
+            yield predicate, ring, children, graphs[i:i + size]
 
     # A held order has at most CAPACITY - 1 = 8 vertices, so each adjacency mask
-    # fits in a byte: each graph's masks are packed into bytes, not held as a list
-    # of ints (bytes() raises on a mask that does not fit).
-    level = [(b"\x00", None)]  # K1, the class of order 1
-    yield from split(_scan_chunk, level)
+    # fits in a byte: each graph is held as one bytes string (bytes() raises on
+    # a mask that does not fit).
+    level = [b"\x00"]  # K1, the class of order 1
+    yield from split(False, level)
     for _ in range(2, max_vertices):
-        level = [(bytes(adj), key) for adj, key in _grow(adj for adj, _ in level)]
-        yield from split(_scan_chunk, level)
+        level = [bytes(grown) for grown, _ in _grow(level)]
+        yield from split(False, level)
     if max_vertices > 1:
-        yield from split(_scan_parents, [adj for adj, _ in level])
+        yield from split(True, level)
 
 
 def scan_property(
     predicate: str,
     max_vertices: int,
     ring: str = "Z",
-    capacity: int = CAPACITY,
     workers: int = 1,
 ) -> ScanReport:
     """Run a registered predicate over all connected graphs with <= max_vertices.
@@ -526,15 +504,15 @@ def scan_property(
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    _check_order(max_vertices, capacity, "scan bound")
+    _check_order(max_vertices, "scan bound")
     # Each order in up to 8 chunks per worker; one worker takes each order whole.
     jobs = _scan_jobs(predicate, ring, max_vertices, 8 * workers if workers > 1 else 1)
     if workers > 1:
         # The lower orders are generated here before the pool takes the chunks.
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_run_job, list(jobs))
+            parts = pool.map(_scan, list(jobs))
     else:
-        parts = [_run_job(job) for job in jobs]
+        parts = [_scan(job) for job in jobs]
     examined = sum(p[0] for p in parts)
     applicable = sum(p[1] for p in parts)
     passed = sum(p[2] for p in parts)
@@ -544,12 +522,10 @@ def scan_property(
     )
 
 
-def scan_dim_bound(
-    max_vertices: int, ring: str = "Z", capacity: int = CAPACITY, workers: int = 1
-) -> ScanReport:
+def scan_dim_bound(max_vertices: int, ring: str = "Z", workers: int = 1) -> ScanReport:
     """The dimension-bound inequality over acyclic flag complexes, v <= max_vertices.
 
     Z-acyclicity is the default filter (it implies acyclicity over every
     field); pass a field ring to scan per-field instead.
     """
-    return scan_property("acyclic_dim_bound", max_vertices, ring, capacity, workers)
+    return scan_property("acyclic_dim_bound", max_vertices, ring, workers)

@@ -483,10 +483,10 @@ def _maximum_clique(adj, universe: int) -> int:
 # -- canonical form -------------------------------------------------------------
 
 
-def canonical_form(g: Graph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical graph6 bytes: equal iff the graphs are isomorphic."""
-    if g.n > max_vertices:
+    if g.n > CANONICAL_VERTEX_BOUND:
         raise CapacityError(
-            f"canonical_form is bounded to {max_vertices} vertices, got {g.n}"
+            f"canonical_form is bounded to {CANONICAL_VERTEX_BOUND} vertices, got {g.n}"
         )
     return _g6.encode(g.n, kernel.canon_key(g.n, g.adj))

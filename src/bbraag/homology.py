@@ -386,7 +386,8 @@ class HomologyGroups:
         return self.groups[i][1] if 0 <= i < len(self.groups) else ()
 
     def trivial(self) -> bool:
-        return all(r == 0 and not t for r, t in self.groups)
+        """All reduced homology vanishes; the empty complex has it in degree -1."""
+        return bool(self.groups) and all(r == 0 and not t for r, t in self.groups)
 
     def to_json(self):
         return {

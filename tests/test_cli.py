@@ -122,6 +122,53 @@ def test_scan_golden(capsys):
     assert out == golden("scan_chordal_v5.json")
 
 
+SCAN_TEXT_PASSING = """\
+predicate    chordal_implies_acyclic
+ring         Z
+max vertices 5
+examined     31
+applicable   24
+passed       24
+failed       0
+skipped      7
+"""
+
+SCAN_TEXT_FAILING = """\
+predicate    picky
+ring         Z
+max vertices 5
+examined     31
+applicable   23
+passed       13
+failed       10
+skipped      8
+failing graphs (graph6):
+  @
+  BW
+  Bw
+  CF
+  CN
+  C~
+  DFw
+  DLs
+  DL{
+  DN{
+"""
+
+
+def test_scan_text_pinned(capsys, monkeypatch):
+    code, out, _ = run(capsys, "scan", "chordal_implies_acyclic", "--max-v", "5")
+    assert (code, out) == (0, SCAN_TEXT_PASSING)
+
+    def picky(a, ring):
+        g = a.graph
+        return g.edge_count % 4 != 1, sum(m.bit_count() ** 2 for m in g.adj) % 3 != 0
+
+    monkeypatch.setitem(PREDICATES, "picky", picky)
+    code, out, _ = run(capsys, "scan", "picky", "--max-v", "5")
+    assert (code, out) == (5, SCAN_TEXT_FAILING)
+
+
 def classify_digest(capsys, graph6s):
     """sha256 of the concatenated `classify --format json` outputs, in order."""
     h = hashlib.sha256()
@@ -406,6 +453,31 @@ def test_homology_empty_graph(capsys):
     code, out, _ = run(capsys, "homology", "--graph6", "?")
     assert code == 0
     assert "0 vertices" in out
+    assert "[Z] empty complex   acyclic: False" in out
+    # the empty complex has nonzero reduced homology in degree -1
+    code, out, _ = run(capsys, "homology", "--graph6", "?", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["acyclic"] == {"Z": False, "Q": False}
+
+
+def test_ring_tags_normalized_and_deduplicated(capsys):
+    argv = ("--graph6", "Bw", "--ring", " Q", "--ring", "Fp:0002", "--ring", "Fp:2")
+    code, out, _ = run(capsys, "homology", *argv)
+    assert code == 0
+    assert [line.split("]")[0] for line in out.splitlines() if line.startswith("[")] == [
+        "[Q", "[Fp:2",
+    ]
+    code, out, _ = run(capsys, "homology", *argv, "--format", "json")
+    payload = json.loads(out)
+    assert payload["acyclic"] == {"Q": True, "Fp:2": True}
+    assert [h["ring"] for h in payload["homology"]] == ["Q", "Fp:2"]
+    code, out, _ = run(capsys, "report", *argv, "--format", "json")
+    assert code == 0
+    assert [r["ring"] for r in json.loads(out)["report"]["rings"]] == ["Q", "Fp:2"]
+    code, out, _ = run(capsys, "report", *argv)
+    assert [line.split("]")[0] for line in out.splitlines() if line.startswith("[")] == [
+        "[Q", "[Fp:2",
+    ]
 
 
 def test_structure_single_vertex(capsys):
@@ -469,12 +541,17 @@ def test_scan_capacity_above_bound_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
     monkeypatch.setattr(bbraag.enumeration, "_children", no_generation)
-    for max_v, capacity in (("10", "10"), ("3", "10"), ("5", "4")):
-        code, _, err = run(
-            capsys, "scan", "turan_nonneg", "--max-v", max_v, "--capacity", capacity
-        )
-        assert code == 4, (max_v, capacity)
-        assert "capacity" in err
+    code, _, err = run(capsys, "scan", "turan_nonneg", "--max-v", "10")
+    assert code == 4
+    assert "capacity" in err
+
+
+def test_scan_has_no_capacity_option(capsys):
+    # The vertex bound is CAPACITY; no option can lower or raise it.
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "turan_nonneg", "--max-v", "3", "--capacity", "5"])
+    assert exc.value.code == 1
+    assert "--capacity" in capsys.readouterr().err
 
 
 def test_report_gem_golden(capsys, gem_file):

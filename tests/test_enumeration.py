@@ -9,8 +9,8 @@ from bbraag.errors import CapacityError, DomainError
 from bbraag.graphs import canonical_form, is_connected
 from bbraag.enumeration import (
     PREDICATES,
-    _scan_chunk,
     _canonical_reps,
+    _scan,
     _children as enumerate_children,
     connected_graph_count,
     connected_graphs,
@@ -201,21 +201,19 @@ def test_capacity_bounds():
 def test_capacity_cannot_be_raised(monkeypatch):
     import bbraag.enumeration
 
-    assert connected_graph_count(4, capacity=4) == 6
-
     def no_generation(n):
         raise AssertionError("graphs generated before the capacity was checked")
 
     monkeypatch.setattr(bbraag.enumeration, "_canonical_reps", no_generation)
     monkeypatch.setattr(bbraag.enumeration, "_children", no_generation)
     with pytest.raises(CapacityError):
-        connected_graph_count(10, capacity=10)
+        connected_graph_count(10)
     with pytest.raises(CapacityError):
-        list(connected_graphs(3, capacity=12))
+        list(connected_graphs(10))
     with pytest.raises(CapacityError):
-        scan_dim_bound(3, capacity=10)
+        scan_dim_bound(10)
     with pytest.raises(CapacityError):
-        scan_property("turan_nonneg", 5, capacity=4)
+        scan_property("turan_nonneg", 10)
 
 
 def test_stream_graphs_connected_and_distinct():
@@ -250,15 +248,15 @@ def test_scan_report_invariants():
 
 def test_scan_order_independence():
     # a permuted processing order must merge to the identical report
-    items = [(_g6.decode(key)[1], key) for n in range(1, 6) for key in _canonical_reps(n)]
+    items = [_g6.decode(key)[1] for n in range(1, 6) for key in _canonical_reps(n)]
     rng = random.Random(5)
     shuffled = items[:]
     rng.shuffle(shuffled)
-    base = _scan_chunk(("turan_nonneg", "Z", items))
+    base = _scan(("turan_nonneg", "Z", False, items))
     cut = len(shuffled) // 3
     parts = [
-        _scan_chunk(("turan_nonneg", "Z", shuffled[:cut])),
-        _scan_chunk(("turan_nonneg", "Z", shuffled[cut:])),
+        _scan(("turan_nonneg", "Z", False, shuffled[:cut])),
+        _scan(("turan_nonneg", "Z", False, shuffled[cut:])),
     ]
     merged = tuple(sum(p[i] for p in parts) for i in range(3))
     assert merged == base[:3]
@@ -271,9 +269,9 @@ def test_scan_workers_match_sequential():
 
 
 def reference_scan(name, max_v, ring="Z"):
-    """Every class through _scan_chunk from its canonical key, in one chunk."""
-    items = [(_g6.decode(key)[1], key) for n in range(1, max_v + 1) for key in _canonical_reps(n)]
-    examined, applicable, passed, failing = _scan_chunk((name, ring, items))
+    """Every class through _scan from its canonical key, in one job."""
+    items = [_g6.decode(key)[1] for n in range(1, max_v + 1) for key in _canonical_reps(n)]
+    examined, applicable, passed, failing = _scan((name, ring, False, items))
     return enumeration.ScanReport(
         name, ring, max_v, examined, applicable, passed, tuple(sorted(failing))
     )

@@ -286,7 +286,8 @@ def test_clique_budget(monkeypatch):
         clique_number(edgeless)
 
 
-def test_canonical_form_bound():
+def test_canonical_form_bound(monkeypatch):
     with pytest.raises(CapacityError):
         canonical_form(path_graph(11))
-    assert canonical_form(path_graph(11), max_vertices=11)
+    monkeypatch.setattr(graphs, "CANONICAL_VERTEX_BOUND", 11)
+    assert canonical_form(path_graph(11))

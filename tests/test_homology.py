@@ -693,6 +693,9 @@ def test_empty_complex_and_two_points():
     for ring in RINGS:
         assert reduced_homology(empty, ring).groups == ()
         assert reduced_homology(two, ring).groups == ((1, ()),)
+        # the empty complex has nonzero reduced homology in degree -1
+        assert not is_acyclic(empty, ring) and not is_acyclic(two, ring)
+        assert not Analysis(Graph([])).acyclic(ring)
 
 
 def test_complete_graphs_reduce_to_a_point():
