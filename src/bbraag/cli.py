@@ -14,7 +14,7 @@ import sys
 
 from .enumeration import PREDICATES, scan_property
 from .errors import CapacityError, DomainError, GraphParseError, NotSupportedError
-from .formats import FORMATS, format_graph6, parse_graph
+from .formats import FORMATS, format_graph6, graph_json, parse_graph, to_json
 from .graphs import Graph
 from .homology import normalize_ring
 from .invariants import Analysis, bb_structure_graph, finitely_presented_group, invariant_report
@@ -128,23 +128,19 @@ def _emit(args, payload: dict, text: str) -> None:
 def _witness_text(witness) -> str:
     if witness is None:
         return ""
-    if not witness.vertices:
-        return f"witness {witness.pattern}"
-    return f"witness {witness.pattern} on {','.join(witness.vertices)}"
+    if not witness["vertices"]:
+        return f"witness {witness['pattern']}"
+    return f"witness {witness['pattern']} on {','.join(witness['vertices'])}"
 
 
-def _graph_json(g: Graph, graph6: str) -> dict:
-    return {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()], "graph6": graph6}
+def _graph_text(graph: dict) -> str:
+    """``n vertices, e edges, graph6 s`` of a graph's JSON."""
+    n, e = len(graph["vertices"]), len(graph["edges"])
+    return f"{n} vertices, {e} edges, graph6 {graph['graph6']}"
 
 
-def _graph_line(g: Graph, graph6: str) -> str:
-    return f"graph: {g.n} vertices, {g.edge_count} edges, graph6 {graph6}"
-
-
-def _json_or_none(x):
-    if not x:
-        return None
-    return list(x) if isinstance(x, tuple) else x.to_json()
+def _check_text(check: dict) -> str:
+    return "pass" if check["passed"] else "FAIL"
 
 
 def cmd_classify(args) -> int:
@@ -158,17 +154,17 @@ def cmd_classify(args) -> int:
         ("ptolemaic", is_ptolemaic(g, a.chordality), "certificate"),
         ("tree_of_droms", a.tree_of_droms, "decomposition"),
     )
-    g6 = format_graph6(g)
-    payload = {"graph": _graph_json(g, g6)}
-    lines = [_graph_line(g, g6)]
+    payload = {"graph": graph_json(g, format_graph6(g))}
+    lines = ["graph: " + _graph_text(payload["graph"])]
     for name, res, cert_field in verdicts:
-        verdict = getattr(res, name)
-        payload[name] = {
-            "verdict": verdict,
-            cert_field: _json_or_none(getattr(res, cert_field)),
-            "witness": _json_or_none(res.witness),
+        block = payload[name] = {
+            "verdict": getattr(res, name),
+            # the empty graph's empty elimination order is null
+            cert_field: to_json(getattr(res, cert_field) or None),
+            "witness": to_json(res.witness),
         }
-        lines.append(f"{name + ':':<15}{'yes' if verdict else 'no  ' + _witness_text(res.witness)}")
+        verdict = "yes" if block["verdict"] else "no  " + _witness_text(block["witness"])
+        lines.append(f"{name + ':':<15}{verdict}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -180,56 +176,54 @@ def _rings_of(args) -> tuple[str, ...]:
 
 def cmd_report(args) -> int:
     g = _load_graph(args)
-    report = invariant_report(g, rings=_rings_of(args), degree_bound=args.max_degree)
-    payload = {"report": report.to_json()}
-    r = report
+    r = invariant_report(g, rings=_rings_of(args), degree_bound=args.max_degree).to_json()
     lines = [
-        _graph_line(g, r.graph6),
-        f"connected: {r.connected}   flag dim: {r.flag_dim}   clique number (cd of RAAG object): {r.cd_raag}",
-        f"betti of RAAG object: b1={r.b1_raag} b2={r.b2_raag}   omega={r.omega_raag}",
-        "b1 of BB object: " + (str(r.b1_bb) if r.b1_bb is not None else "not finitely generated"),
+        f"graph: {r['v']} vertices, {r['e']} edges, graph6 {r['graph6']}",
+        f"connected: {r['connected']}   flag dim: {r['flag_dim']}   "
+        f"clique number (cd of RAAG object): {r['cd_raag']}",
+        f"betti of RAAG object: b1={r['b1_raag']} b2={r['b2_raag']}   omega={r['omega_raag']}",
+        f"b1 of BB object: {r['b1_bb']}",
     ]
-    for ring in r.rings:
-        fp = "infinity" if ring.fp_type is None else str(ring.fp_type)
+    lines.extend(
+        f"[{ring['ring']}] fp_type={ring['fp_type']} b2_bb={ring['b2_bb']} "
+        f"omega_bb={ring['omega_bb']} finitely_presented_lie={ring['finitely_presented_lie']}"
+        for ring in r["rings"]
+    )
+    free = r["bb_free"]
+    lines.append(f"coherent: {r['coherent']['coherent']}")
+    lines.append(f"bb_free: {free['free']} (rank {free['rank']}; {free['reason']})")
+    if r["bb_abelian"] is not None:
+        lines.append(f"bb_abelian: {r['bb_abelian']['abelian']} (rank {r['bb_abelian']['rank']})")
+    if r["subgroups_raag"] is not None:
+        lines.append(f"all subgroups RAAG: {r['subgroups_raag']['holds']}")
+    lines.append(f"finitely presented group: {r['finitely_presented_group']}")
+    structure = r["structure"]
+    if structure is not None:
         lines.append(
-            f"[{ring.ring}] fp_type={fp} b2_bb={ring.b2_bb} omega_bb={ring.omega_bb} "
-            f"finitely_presented_lie={ring.finitely_presented_lie}"
-        )
-    lines.append(f"coherent: {r.coherent.coherent}")
-    lines.append(f"bb_free: {r.bb_free.free} (rank {r.bb_free.rank}; {r.bb_free.reason})")
-    if r.bb_abelian is not None:
-        lines.append(f"bb_abelian: {r.bb_abelian.abelian} (rank {r.bb_abelian.rank})")
-    if r.subgroups_raag is not None:
-        lines.append(f"all subgroups RAAG: {r.subgroups_raag.holds}")
-    lines.append(f"finitely presented group: {r.finitely_presented_group}")
-    if r.structure is not None:
-        lines.append(
-            f"structure graph: {len(r.structure.graph.labels)} vertices, "
-            f"graph6 {payload['report']['structure']['graph6']}"
+            f"structure graph: {len(structure['vertices'])} vertices, graph6 {structure['graph6']}"
         )
     else:
-        lines.append(f"structure graph: unavailable ({r.structure_error})")
-    oi = r.omega_identity
-    if oi.applicable:
-        lines.append(f"omega identity: {oi.lhs} = {oi.rhs} -> {'pass' if oi.passed else 'FAIL'}")
+        lines.append(f"structure graph: unavailable ({r['structure_error']})")
+    oi = r["omega_identity"]
+    if oi["applicable"]:
+        lines.append(f"omega identity: {oi['lhs']} = {oi['rhs']} -> {_check_text(oi)}")
     else:
-        lines.append(f"omega identity: inapplicable ({oi.reason})")
-    for name, ineq in sorted(r.inequalities.items()):
-        if ineq.applicable:
-            status = "pass" if ineq.passed else "FAIL"
-            lines.append(f"{name}: {ineq.lhs} >= {ineq.rhs} -> {status}")
+        lines.append(f"omega identity: inapplicable ({oi['reason']})")
+    for name, ineq in sorted(r["inequalities"].items()):
+        if ineq["applicable"]:
+            lines.append(f"{name}: {ineq['lhs']} >= {ineq['rhs']} -> {_check_text(ineq)}")
         else:
-            lines.append(f"{name}: skipped ({ineq.reason})")
-    if r.hilbert is not None and r.hilbert.applicable:
+            lines.append(f"{name}: skipped ({ineq['reason']})")
+    hilbert = r["hilbert"]
+    if hilbert is not None and hilbert["applicable"]:
         lines.append(
-            f"hilbert consistency to degree {r.hilbert.degree_bound}: "
-            f"{'pass' if r.hilbert.passed else 'FAIL'}"
+            f"hilbert consistency to degree {hilbert['degree_bound']}: {_check_text(hilbert)}"
         )
-    elif r.hilbert is not None:
-        lines.append(f"hilbert consistency: inapplicable ({r.hilbert.reason})")
-    if r.cohomology is not None:
-        lines.append(f"cohomology dims over {r.cohomology.ring}: {list(r.cohomology.dims)}")
-    _emit(args, payload, "\n".join(lines))
+    elif hilbert is not None:
+        lines.append(f"hilbert consistency: inapplicable ({hilbert['reason']})")
+    if r["cohomology"] is not None:
+        lines.append(f"cohomology dims over {r['cohomology']['ring']}: {r['cohomology']['dims']}")
+    _emit(args, {"report": r}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -239,33 +233,31 @@ def cmd_homology(args) -> int:
     c = a.complex
     rings = _rings_of(args)
     collapse = a.collapse
-    hom = {ring: a.homology(ring) for ring in rings}
-    simply = finitely_presented_group(a)
-    g6 = format_graph6(g)
+    homology = [a.homology(ring) for ring in rings]
     payload = {
-        "graph": _graph_json(g, g6),
-        "flag_complex": {
-            "dim": c.dim,
-            "face_counts": [c.face_count(d) for d in range(c.dim + 1)],
-        },
-        "homology": [hom[ring].to_json() for ring in rings],
-        "acyclic": {ring: hom[ring].trivial() for ring in rings},
+        "graph": graph_json(g, format_graph6(g)),
+        "flag_complex": {"dim": c.dim, "face_counts": [len(fs) for fs in c.faces]},
+        "homology": [h.to_json() for h in homology],
+        "acyclic": {h.ring: h.trivial() for h in homology},
         "collapse": collapse.to_json(),
-        "simply_connected": simply,
+        "simply_connected": finitely_presented_group(a),
     }
+    faces = payload["flag_complex"]
     lines = [
-        _graph_line(g, g6),
-        f"flag complex: dim {c.dim}, faces {[c.face_count(d) for d in range(c.dim + 1)]}",
+        "graph: " + _graph_text(payload["graph"]),
+        f"flag complex: dim {faces['dim']}, faces {faces['face_counts']}",
     ]
-    for ring in rings:
-        groups = hom[ring].groups
+    for h in payload["homology"]:
         desc = ", ".join(
-            f"H~{i}: rank {r}" + (f" torsion {list(t)}" if t else "")
-            for i, (r, t) in enumerate(groups)
+            f"H~{d['degree']}: rank {d['free_rank']}"
+            + (f" torsion {d['torsion']}" if d["torsion"] else "")
+            for d in h["reduced"]
         )
-        lines.append(f"[{ring}] {desc or 'empty complex'}   acyclic: {hom[ring].trivial()}")
-    lines.append(f"collapsible: {collapse.collapsible}")
-    lines.append(f"simply connected (flag complex): {simply}")
+        lines.append(
+            f"[{h['ring']}] {desc or 'empty complex'}   acyclic: {payload['acyclic'][h['ring']]}"
+        )
+    lines.append(f"collapsible: {payload['collapse']['collapsible']}")
+    lines.append(f"simply connected (flag complex): {payload['simply_connected']}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -274,19 +266,14 @@ def cmd_structure(args) -> int:
     g = _load_graph(args)
     check_recognition_size(g)
     structure = bb_structure_graph(g)
-    g6 = format_graph6(g)
-    payload = {
-        "graph": _graph_json(g, g6),
-        "structure": structure.to_json(),
-    }
-    sg = structure.graph
+    payload = {"graph": graph_json(g, format_graph6(g)), "structure": structure.to_json()}
+    sg = payload["structure"]
     lines = [
-        _graph_line(g, g6),
-        f"Bestvina-Brady object is the RAAG on: {sg.n} vertices, "
-        f"{sg.edge_count} edges, graph6 {payload['structure']['graph6']}",
-        "vertices: " + (", ".join(sg.labels) if sg.n else "(none)"),
+        "graph: " + _graph_text(payload["graph"]),
+        "Bestvina-Brady object is the RAAG on: " + _graph_text(sg),
+        "vertices: " + (", ".join(sg["vertices"]) if sg["vertices"] else "(none)"),
     ]
-    lines.extend(f"edge: {a} {b}" for a, b in sg.edges())
+    lines.extend(f"edge: {a} {b}" for a, b in sg["edges"])
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

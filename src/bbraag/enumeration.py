@@ -78,6 +78,7 @@ from typing import Callable, Iterator
 
 from . import _canon_py, _g6, kernel
 from .errors import CapacityError, DomainError
+from .formats import Result
 from .graphs import Graph, _bits, _component_masks, is_connected
 from .homology import normalize_ring
 from .invariants import INEQUALITIES, Analysis, koszul_hilbert_check, omega_identity_check
@@ -395,7 +396,7 @@ PREDICATES: dict[str, Predicate] = {
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Result):
     predicate: str
     ring: str
     max_vertices: int
@@ -413,17 +414,7 @@ class ScanReport:
         return self.applicable - self.passed
 
     def to_json(self):
-        return {
-            "predicate": self.predicate,
-            "ring": self.ring,
-            "max_vertices": self.max_vertices,
-            "examined": self.examined,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "failing": list(self.failing),
-        }
+        return dict(super().to_json(), failed=self.failed, skipped=self.skipped)
 
     def to_text(self) -> str:
         fields = self.to_json()

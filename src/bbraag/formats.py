@@ -6,6 +6,9 @@ Vertex order is first appearance, so parse -> serialize is the identity on
 canonical inputs.  Both formats are read straight into adjacency masks (a
 duplicate edge is a mask bit already set), in time linear in the text size;
 an edge list is split into lines one chunk at a time, not all at once.
+
+Results serialize through one encoder, :func:`to_json`: a :class:`Result`
+dataclass is the dict of its fields, each encoded in turn.
 """
 
 from __future__ import annotations
@@ -98,3 +101,39 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
         except GraphParseError:
             pass
     return parse_edge_list(text)
+
+
+def graph_json(g: Graph, graph6: str) -> dict:
+    """The ``vertices``, ``edges`` and ``graph6`` of ``g``; the caller encodes ``graph6``."""
+    return {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()], "graph6": graph6}
+
+
+# -- JSON of results ---------------------------------------------------------------
+
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def to_json(x):
+    """``x`` as plain JSON data: a tuple or list becomes a list, a dict maps its
+    values, a result gives its own ``to_json()``, and a scalar stays as it is."""
+    t = type(x)
+    if t in _SCALARS:
+        return x
+    if t is tuple or t is list:
+        return [v if type(v) in _SCALARS else to_json(v) for v in x]
+    if t is dict:
+        return {k: v if type(v) in _SCALARS else to_json(v) for k, v in x.items()}
+    return x.to_json()
+
+
+class Result:
+    """Base of the frozen result dataclasses: the JSON of a result is its fields."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        out = {}
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            out[name] = value if type(value) in _SCALARS else to_json(value)
+        return out

@@ -38,6 +38,7 @@ from operator import index
 from typing import Optional
 
 from .errors import CapacityError, DomainError
+from .formats import Result
 from .graphs import Dismantling, Graph, _bits, _mask, clique_levels, dismantle
 
 IntegerMatrix = list[list[int]]
@@ -107,7 +108,7 @@ class SimplicialComplex:
     """Faces per dimension, as sorted index tuples into ``labels``.
 
     A flag complex also carries its graph's ``dismantling``, which gives its
-    core; equality and :meth:`to_json` ignore it.
+    core; equality ignores it.
     """
 
     labels: tuple[str, ...]
@@ -148,12 +149,6 @@ class SimplicialComplex:
         if dismantling is None or not dismantling.pairs:
             return self
         return _full_subcomplex(self, dismantling.alive)
-
-    def to_json(self):
-        return {
-            "vertices": list(self.labels),
-            "faces": [[list(f) for f in self.face_labels(d)] for d in range(self.dim + 1)],
-        }
 
 
 def flag_complex(g: Graph, core: Optional[Dismantling] = None) -> SimplicialComplex:
@@ -373,7 +368,7 @@ def _elimination_factors(entries) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class HomologyGroups:
+class HomologyGroups(Result):
     """Reduced homology per degree 0..dim: free rank plus torsion factors > 1."""
 
     ring: str
@@ -432,17 +427,10 @@ def is_acyclic(c: SimplicialComplex, ring: str) -> bool:
 
 
 @dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(Result):
     collapsible: bool
     sequence: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     remaining: tuple[tuple[str, ...], ...]
-
-    def to_json(self):
-        return {
-            "collapsible": self.collapsible,
-            "sequence": [[list(f), list(g)] for f, g in self.sequence],
-            "remaining": [list(f) for f in self.remaining],
-        }
 
 
 def collapse_to_point(c: SimplicialComplex) -> CollapseResult:

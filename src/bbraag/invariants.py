@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .errors import CapacityError, DomainError, NotSupportedError
-from .formats import format_graph6
+from .formats import Result, format_graph6, graph_json
 from .graphs import (
     BlockCutTree,
     Dismantling,
@@ -203,7 +203,7 @@ def finitely_presented_group(g: GraphOrAnalysis) -> str:
 
 
 @dataclass(frozen=True)
-class CoherenceResult:
+class CoherenceResult(Result):
     coherent: bool
     chordality: ChordalityResult
 
@@ -221,13 +221,10 @@ def coherence(g: GraphOrAnalysis) -> CoherenceResult:
 
 
 @dataclass(frozen=True)
-class BBFreeResult:
+class BBFreeResult(Result):
     free: bool
     rank: Optional[int]
     reason: str
-
-    def to_json(self):
-        return {"free": self.free, "rank": self.rank, "reason": self.reason}
 
 
 def bb_free(g: GraphOrAnalysis) -> BBFreeResult:
@@ -244,12 +241,9 @@ def bb_free(g: GraphOrAnalysis) -> BBFreeResult:
 
 
 @dataclass(frozen=True)
-class BBAbelianResult:
+class BBAbelianResult(Result):
     abelian: bool
     rank: Optional[int]
-
-    def to_json(self):
-        return {"abelian": self.abelian, "rank": self.rank}
 
 
 def bb_abelian(g: GraphOrAnalysis) -> BBAbelianResult:
@@ -263,7 +257,7 @@ def bb_abelian(g: GraphOrAnalysis) -> BBAbelianResult:
 
 
 @dataclass(frozen=True)
-class SubgroupsRaagResult:
+class SubgroupsRaagResult(Result):
     """Whether every subgroup of the Bestvina-Brady group is again a RAAG."""
 
     holds: bool
@@ -306,7 +300,7 @@ STRUCTURE_DEPTH_LIMIT = 400
 
 
 @dataclass(frozen=True)
-class ConeStrip:
+class ConeStrip(Result):
     apex: str
 
     def to_json(self):
@@ -314,7 +308,7 @@ class ConeStrip:
 
 
 @dataclass(frozen=True)
-class FreeSplit:
+class FreeSplit(Result):
     cut: str
     parts: tuple["Derivation", ...]
 
@@ -326,19 +320,16 @@ Derivation = Union[ConeStrip, FreeSplit]
 
 
 @dataclass(frozen=True)
-class StructureGraph:
+class StructureGraph(Result):
     """Defining graph of a RAAG isomorphic to the Bestvina-Brady object."""
 
     graph: Graph
     derivation: Derivation
 
     def to_json(self):
-        return {
-            "vertices": list(self.graph.labels),
-            "edges": [list(e) for e in self.graph.edges()],
-            "graph6": format_graph6(self.graph),
-            "derivation": self.derivation.to_json(),
-        }
+        out = graph_json(self.graph, format_graph6(self.graph))
+        out["derivation"] = self.derivation.to_json()
+        return out
 
 
 def bb_structure_graph(g: GraphOrAnalysis) -> StructureGraph:
@@ -431,15 +422,12 @@ def _omega_raw(b1: int, b2: int, cd: int) -> int:
 
 
 @dataclass(frozen=True)
-class OmegaIdentityResult:
+class OmegaIdentityResult(Result):
     applicable: bool
     reason: str
     lhs: Optional[int] = None
     rhs: Optional[int] = None
     passed: Optional[bool] = None
-
-    def to_json(self):
-        return dict(vars(self))
 
 
 def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityResult:
@@ -465,7 +453,7 @@ def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityRe
 
 
 @dataclass(frozen=True)
-class InequalityOutcome:
+class InequalityOutcome(Result):
     name: str
     applicable: bool
     reason: str = ""
@@ -473,9 +461,6 @@ class InequalityOutcome:
     rhs: Optional[int] = None
     passed: Optional[bool] = None
     note: str = ""
-
-    def to_json(self):
-        return dict(vars(self))
 
 
 DROMS_TREE_BOUND_NOTE = (
@@ -548,7 +533,7 @@ def inequality_checks(g: GraphOrAnalysis, ring: str = "Z") -> dict[str, Inequali
 
 
 @dataclass(frozen=True)
-class CohomologyQuotient:
+class CohomologyQuotient(Result):
     """Graded dimensions of the exterior face algebra modulo the length character.
 
     Degree-i basis: the i-cliques; the quotient divides out the ideal generated
@@ -561,9 +546,6 @@ class CohomologyQuotient:
     ring: str
     dims: tuple[int, ...]
     koszul: Optional[bool]
-
-    def to_json(self):
-        return {"ring": self.ring, "dims": list(self.dims), "koszul": self.koszul}
 
 
 def bb_cohomology_dimensions(g: GraphOrAnalysis, ring: str = "Q") -> CohomologyQuotient:
@@ -594,7 +576,7 @@ HILBERT_DEGREE_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
-class HilbertCheckResult:
+class HilbertCheckResult(Result):
     applicable: bool
     reason: str
     degree_bound: int
@@ -602,17 +584,6 @@ class HilbertCheckResult:
     quotient_series: tuple[int, ...] = ()
     enveloping_series: tuple[int, ...] = ()
     passed: Optional[bool] = None
-
-    def to_json(self):
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "degree_bound": self.degree_bound,
-            "product": list(self.product),
-            "quotient_series": list(self.quotient_series),
-            "enveloping_series": list(self.enveloping_series),
-            "passed": self.passed,
-        }
 
 
 def koszul_hilbert_check(
@@ -666,7 +637,7 @@ def koszul_hilbert_check(
 
 
 @dataclass(frozen=True)
-class RingReport:
+class RingReport(Result):
     ring: str
     fp_type: Optional[int]
     b2_bb: Optional[int]
@@ -675,18 +646,14 @@ class RingReport:
     homology: HomologyGroups
 
     def to_json(self):
-        return {
-            "ring": self.ring,
-            "fp_type": "infinity" if self.fp_type is None else self.fp_type,
-            "b2_bb": self.b2_bb,
-            "omega_bb": self.omega_bb,
-            "finitely_presented_lie": self.finitely_presented_lie,
-            "homology": self.homology.to_json(),
-        }
+        out = super().to_json()
+        if self.fp_type is None:
+            out["fp_type"] = "infinity"
+        return out
 
 
 @dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Result):
     graph6: str
     v: int
     e: int
@@ -711,30 +678,10 @@ class InvariantReport:
     cohomology: Optional[CohomologyQuotient] = None
 
     def to_json(self):
-        return {
-            "graph6": self.graph6,
-            "v": self.v,
-            "e": self.e,
-            "connected": self.connected,
-            "flag_dim": self.flag_dim,
-            "cd_raag": self.cd_raag,
-            "b1_raag": self.b1_raag,
-            "b2_raag": self.b2_raag,
-            "b1_bb": self.b1_bb if self.b1_bb is not None else "not finitely generated",
-            "omega_raag": self.omega_raag,
-            "rings": [r.to_json() for r in self.rings],
-            "coherent": self.coherent.to_json(),
-            "bb_free": self.bb_free.to_json(),
-            "bb_abelian": self.bb_abelian.to_json() if self.bb_abelian else None,
-            "subgroups_raag": self.subgroups_raag.to_json() if self.subgroups_raag else None,
-            "finitely_presented_group": self.finitely_presented_group,
-            "structure": self.structure.to_json() if self.structure else None,
-            "structure_error": self.structure_error,
-            "omega_identity": self.omega_identity.to_json(),
-            "inequalities": {k: o.to_json() for k, o in sorted(self.inequalities.items())},
-            "hilbert": self.hilbert.to_json() if self.hilbert else None,
-            "cohomology": self.cohomology.to_json() if self.cohomology else None,
-        }
+        out = super().to_json()
+        if self.b1_bb is None:
+            out["b1_bb"] = "not finitely generated"
+        return out
 
 
 def invariant_report(

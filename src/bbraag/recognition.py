@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import CapacityError, DomainError
+from .formats import Result
 from .graphs import (
     BlockCutTree,
     Graph,
@@ -41,14 +42,11 @@ def check_recognition_size(g: Graph) -> None:
 
 
 @dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(Result):
     """A pattern name plus the vertices of the input that induce it."""
 
     pattern: str
     vertices: tuple[str, ...]
-
-    def to_json(self):
-        return {"pattern": self.pattern, "vertices": list(self.vertices)}
 
 
 # -- chordality -----------------------------------------------------------------
@@ -207,7 +205,7 @@ def find_induced(g: Graph, pattern: str) -> Optional[tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class DromsLeaf:
+class DromsLeaf(Result):
     label: str
 
     def to_json(self):
@@ -215,7 +213,7 @@ class DromsLeaf:
 
 
 @dataclass(frozen=True)
-class DromsCone:
+class DromsCone(Result):
     apex: str
     child: "DromsNode"
 
@@ -224,7 +222,7 @@ class DromsCone:
 
 
 @dataclass(frozen=True)
-class DromsUnion:
+class DromsUnion(Result):
     children: tuple["DromsNode", ...]
 
     def to_json(self):
@@ -288,22 +286,16 @@ def is_droms(g: Graph) -> DromsResult:
 
 
 @dataclass(frozen=True)
-class BuildStep:
+class BuildStep(Result):
     kind: str  # "leaf" | "twin" | "false_twin"
     vertex: str
     attached_to: str
 
-    def to_json(self):
-        return {"kind": self.kind, "vertex": self.vertex, "attached_to": self.attached_to}
-
 
 @dataclass(frozen=True)
-class PtolemaicSequence:
+class PtolemaicSequence(Result):
     base: str
     steps: tuple[BuildStep, ...]
-
-    def to_json(self):
-        return {"base": self.base, "steps": [s.to_json() for s in self.steps]}
 
 
 def replay_ptolemaic(seq: PtolemaicSequence) -> Graph:
@@ -436,26 +428,17 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
-class DromsTreeNode:
+class DromsTreeNode(Result):
     vertices: tuple[str, ...]
     certificate: DromsNode
 
-    def to_json(self):
-        return {"vertices": list(self.vertices), "certificate": self.certificate.to_json()}
-
 
 @dataclass(frozen=True)
-class DromsTreeDecomposition:
+class DromsTreeDecomposition(Result):
     """Connected Droms pieces glued along cut vertices; edges are (parent, child, vertex)."""
 
     nodes: tuple[DromsTreeNode, ...]
     edges: tuple[tuple[int, int, str], ...]
-
-    def to_json(self):
-        return {
-            "nodes": [n.to_json() for n in self.nodes],
-            "edges": [[a, b, v] for a, b, v in self.edges],
-        }
 
 
 def replay_tree_of_droms(dec: DromsTreeDecomposition) -> Graph:

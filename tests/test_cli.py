@@ -112,6 +112,9 @@ def test_homology_hbar_golden(capsys, hbar_file):
     payload = json.loads(out)
     assert payload["acyclic"]["Z"] is True
     assert payload["simply_connected"] == "YES"
+    code, out, _ = run(capsys, "homology", "--input", hbar_file)
+    assert code == 0
+    assert out == golden("homology_hbar.txt")
 
 
 def test_scan_golden(capsys):
@@ -206,6 +209,36 @@ def test_classify_pinned_v8(capsys):
     graph6s = connected_graph6s(8)
     assert len(graph6s) == 12113
     assert classify_digest(capsys, graph6s) == CLASSIFY_V8_SHA256
+
+
+# sha256 of every (exit code, stdout, stderr) of classify, report, homology
+# and structure, per output format, over the connected graphs with v <= 6 and
+# CLASSIFY_DISCONNECTED; taken before the results shared one JSON encoder.
+ALL_COMMANDS_SHA256 = {
+    ("classify", "text"): "4616fd5e02b66b2bdd48a1170e3fa28d7861560d5f1f2320f8f502838289ee56",
+    ("classify", "json"): "255e79e46c41c2df8a89f2da9265ef936326976e47cc8854d33c3b6fbcbd7dbe",
+    ("report", "text"): "74f4916b997870464090a71dedcd3fa243bf86e19931c860a305b2d2ea3c79ca",
+    ("report", "json"): "696da7a67f43e633bf06ba9b8b578e73625329a7e4e72af39e23db382c9d7840",
+    ("homology", "text"): "58d719f3430ccd4ed9c7c3b0248941a0524248695ee9dbbe16ce8e8be5690940",
+    ("homology", "json"): "28e34ad687ed0027962dd434d7a98c25064da8362b4752e3e600836c004b7e3c",
+    ("structure", "text"): "44151b9f0addaf713749c6a4bbc50e8a147d289c58fe81cd3eee68707fdb26d8",
+    ("structure", "json"): "151349a64cbd85e3bb03bf04809ef719e63a8cdc889bc1af74b428a6d9dce4aa",
+}
+
+
+def command_digest(capsys, command, fmt, graph6s):
+    h = hashlib.sha256()
+    for g6 in graph6s:
+        result = run(capsys, command, "--graph6", g6, "--format", fmt)
+        h.update(json.dumps(result).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command, fmt", sorted(ALL_COMMANDS_SHA256))
+def test_all_commands_pinned_v6(capsys, command, fmt):
+    graph6s = connected_graph6s(6) + list(CLASSIFY_DISCONNECTED)
+    assert len(graph6s) == 149
+    assert command_digest(capsys, command, fmt, graph6s) == ALL_COMMANDS_SHA256[command, fmt]
 
 
 # sha256 of the stdout of `scan acyclic_dim_bound --max-v 9 --ring Z --format json
@@ -563,6 +596,9 @@ def test_report_gem_golden(capsys, gem_file):
         "applicable": True, "lhs": 12, "passed": True, "reason": "", "rhs": 12,
     }
     assert payload["structure"]["derivation"] == {"op": "cone_strip", "apex": "z"}
+    code, out, _ = run(capsys, "report", "--input", gem_file)
+    assert code == 0
+    assert out == golden("report_gem.txt")
 
 
 def test_ring_above_primality_bound_exit_4(capsys):

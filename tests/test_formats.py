@@ -1,4 +1,6 @@
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -6,11 +8,13 @@ from bbraag import _g6
 from bbraag.enumeration import _canonical_reps
 from bbraag.errors import GraphParseError, ValidationError
 from bbraag.formats import (
+    Result,
     format_edge_list,
     format_graph6,
     parse_edge_list,
     parse_graph,
     parse_graph6,
+    to_json,
 )
 from bbraag.graphs import Graph
 from bbraag.patterns import complete_graph, cycle_graph, path_graph
@@ -221,3 +225,38 @@ def test_parse_error_line_after_each_line_break(monkeypatch, chunk):
             parse_edge_list(text)
         assert str(err.value) == "line 5: self-loop at 'c'", repr(sep)
         assert err.value.line == 5
+
+
+@dataclass(frozen=True)
+class _Leaf(Result):
+    name: str
+    pair: tuple[int, tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class _Tree(Result):
+    ok: bool
+    rank: Optional[int]
+    leaves: tuple[_Leaf, ...]
+    by_name: dict
+    tagged: object = None
+
+
+class _Tagged:
+    def to_json(self):
+        return {"kind": "tagged"}
+
+
+def test_result_json_is_its_fields():
+    leaf = _Leaf("a", (2, ("x", "y")))
+    tree = _Tree(True, None, (leaf,), {"k": leaf, "n": 3}, _Tagged())
+    leaf_json = {"name": "a", "pair": [2, ["x", "y"]]}
+    assert tree.to_json() == {
+        "ok": True,
+        "rank": None,
+        "leaves": [leaf_json],
+        "by_name": {"k": leaf_json, "n": 3},
+        "tagged": {"kind": "tagged"},
+    }
+    assert list(tree.to_json()) == ["ok", "rank", "leaves", "by_name", "tagged"]
+    assert to_json([(1, leaf), None, "s"]) == [[1, leaf_json], None, "s"]
