@@ -319,6 +319,9 @@ def dismantle(g: Graph) -> Dismantling:
         # alive; u is in N[v] but not in N(u), so N[v] - N(u) is then {u}
         near = (adj[v] | bit) & alive
         rest = near ^ bit
+        if rest:  # a dominator is adjacent to all of N(v): keep N[w], w its lowest
+            w = rest & -rest
+            rest &= adj[w.bit_length() - 1] | w
         while rest:
             low = rest & -rest
             rest ^= low

@@ -1,8 +1,11 @@
-"""Selects the canonical-labeling backend at import time.
+"""The canonical-labeling kernel: the compiled backend when it imports, else the pure one.
 
-The compiled extension is preferred when present; the pure-Python twin is the
-fallback and the reference. ``BBRAAG_KERNEL=pure`` (or ``cython``) forces a
-backend, which the tests and the benchmark use to compare the two.
+``_canon_py`` is the pure-Python reference; ``_canon_cy`` is its compiled
+twin, built from the tracked ``_canon_cy.c`` by ``setup.py``.  One import
+attempt, ``available_backends()``, decides both what is available and what
+runs: the kernel is its last entry, so the compiled backend runs whenever it
+is built, and ``BACKEND`` names the one that does.  The tests and the
+benchmark compare the backends by module, through ``available_backends()``.
 
 ``compare_key(n, adj, bound)`` is the sign of ``canon_key(n, adj) - bound``
 for ``bound`` a canonical key.  The pure search stops at the first leaf that
@@ -12,21 +15,19 @@ there the sign comes from the whole key.
 
 from __future__ import annotations
 
-import os
-
 from . import _canon_py
 
-_choice = os.environ.get("BBRAAG_KERNEL", "auto").lower()
 
-if _choice == "pure":
-    _impl = _canon_py
-elif _choice == "cython":
-    from . import _canon_cy as _impl  # noqa: F401  (ImportError is the point)
-else:
+def available_backends():
+    """Names and modules of every importable backend, reference first."""
+    backends = [("pure-python", _canon_py)]
     try:
-        from . import _canon_cy as _impl
+        from . import _canon_cy
+
+        backends.append(("cython", _canon_cy))
     except ImportError:
-        _impl = _canon_py
+        pass
+    return backends
 
 
 def backend_compare(module):
@@ -42,18 +43,7 @@ def backend_compare(module):
     return compare_key
 
 
+_impl = available_backends()[-1][1]
 BACKEND: str = _impl.BACKEND
 canon_key = _impl.canon_key
 compare_key = backend_compare(_impl)
-
-
-def available_backends():
-    """Names and modules of every importable backend, reference first."""
-    backends = [("pure-python", _canon_py)]
-    try:
-        from . import _canon_cy
-
-        backends.append(("cython", _canon_cy))
-    except ImportError:
-        pass
-    return backends

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +141,26 @@ def test_compare_key_sign(name):
                 assert compare(n, adj, bound) == sign, (n, adj, bound)
                 signs.add(sign)
     assert signs == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("setting", ["pure", "cython", "junk"])
+def test_kernel_runs_the_last_available_backend(setting):
+    # One import attempt decides what is available and what runs: the kernel is
+    # the last entry of available_backends(), the one this suite runs on, and
+    # no environment variable (BBRAAG_KERNEL once chose) picks another.
+    import bbraag
+
+    env = dict(
+        os.environ,
+        BBRAAG_KERNEL=setting,
+        PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)),
+    )
+    code = "from bbraag import kernel; print(kernel.BACKEND, kernel.available_backends()[-1][1].BACKEND)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [kernel.BACKEND, kernel.BACKEND]
 
 
 def relabeled(rng, n, adj):

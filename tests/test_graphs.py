@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -291,3 +293,43 @@ def test_canonical_form_bound(monkeypatch):
         canonical_form(path_graph(11))
     monkeypatch.setattr(graphs, "CANONICAL_VERTEX_BOUND", 11)
     assert canonical_form(path_graph(11))
+
+
+# Dismantles four families with one vertex of degree n at n = 20,000: the star
+# K_{1,n}, the book (n triangles on one edge), the fan (a hub on the path P_n)
+# and the wheel (a hub on the cycle C_n).  Each removes every vertex but one.
+DISMANTLE_HUBS = """
+from bbraag.graphs import Graph, dismantle
+
+def graph(order, edges):
+    adj = [0] * order
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return Graph.numbered(adj)
+
+n = 20000
+rim = range(1, n + 1)
+families = [
+    graph(n + 1, [(0, i) for i in rim]),
+    graph(n + 2, [(0, 1)] + [(s, i + 1) for i in rim for s in (0, 1)]),
+    graph(n + 1, [(0, i) for i in rim] + [(i, i + 1) for i in range(1, n)]),
+    graph(n + 1, [(0, i) for i in rim] + [(i, i % n + 1) for i in rim]),
+]
+print(*(len(dismantle(g).pairs) for g in families))
+"""
+
+
+def test_dismantle_high_degree_families_n20000():
+    # A dominator of v is adjacent to every neighbour of v, so only the
+    # neighbours of one neighbour are candidates; testing every neighbour of
+    # the hub after each deletion is cubic in n.  The timeout only guards
+    # against that: it times nothing.
+    import bbraag
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", DISMANTLE_HUBS], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["20000", "20001", "20000", "20000"]

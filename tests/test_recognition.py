@@ -285,12 +285,19 @@ def test_ptolemaic_false_twin_rule_enforced():
             BuildStep("false_twin", "d", "b"),  # N(b) = {a, c} is not complete
         ),
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="neighbourhood is not complete"):
         replay_ptolemaic(bad)
+    # a step must attach a new vertex to a placed one, by a known kind
+    for step in (BuildStep("leaf", "c", "z"), BuildStep("twin", "a", "b")):
+        with pytest.raises(DomainError, match="invalid build step"):
+            replay_ptolemaic(PtolemaicSequence("a", (BuildStep("leaf", "b", "a"), step)))
+    with pytest.raises(DomainError, match="unknown build step kind 'cousin'"):
+        replay_ptolemaic(PtolemaicSequence("a", (BuildStep("cousin", "b", "a"),)))
 
 
 def test_ptolemaic_matches_definition_exhaustive():
-    for n in range(1, 7):
+    # v <= 7 reaches a valid false-twin step: F?NFw is the one such class
+    for n in range(1, 8):
         for g in connected_graphs(n):
             res = is_ptolemaic(g)
             expected = is_chordal(g).chordal and find_induced(g, "GEM") is None
