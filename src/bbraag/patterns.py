@@ -45,15 +45,6 @@ def overlapping_gems_graph() -> Graph:
     return Graph(list("abcd") + ["u", "w"], edges)
 
 
-def disjoint_union(*graphs: Graph) -> Graph:
-    labels: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for g in graphs:
-        labels.extend(g.labels)
-        edges.extend(g.edges())
-    return Graph(labels, edges)
-
-
 # Pattern table for induced-subgraph search; order of vertices within each
 # pattern is the backtracking order.
 PATTERNS: dict[str, Graph] = {

@@ -18,12 +18,12 @@ from .graphs import (
     BlockCutTree,
     Graph,
     _bits,
+    _component_masks,
     block_cut_tree,
     central_vertices,
-    connected_components,
     is_connected,
 )
-from .patterns import PATTERNS, disjoint_union
+from .patterns import PATTERNS
 
 DISCONNECTED = "DISCONNECTED"
 
@@ -169,8 +169,9 @@ def find_induced(g: Graph, pattern: str) -> Optional[tuple[str, ...]]:
     adjacent to the image of each earlier position exactly where the pattern
     is.  They are tried in index order, so the result is deterministic.
     """
-    pat = PATTERNS[pattern]
-    k, padj = pat.n, pat.adj
+    if pattern not in PATTERNS:
+        raise DomainError(f"unknown pattern {pattern!r}; known: {', '.join(PATTERNS)}")
+    k, padj = PATTERNS[pattern].n, PATTERNS[pattern].adj
     if g.n < k:
         return None
     adj = g.adj
@@ -233,16 +234,19 @@ DromsNode = Union[DromsLeaf, DromsCone, DromsUnion]
 
 
 def replay_droms(cert: DromsNode) -> Graph:
-    """Evaluate a cone/union tree back into the graph it describes."""
-    if isinstance(cert, DromsLeaf):
-        return Graph([cert.label])
-    if isinstance(cert, DromsUnion):
-        return disjoint_union(*(replay_droms(c) for c in cert.children))
-    child = replay_droms(cert.child)
-    return Graph(
-        list(child.labels) + [cert.apex],
-        child.edges() + [(v, cert.apex) for v in child.labels],
-    )
+    """Evaluate a cone/union tree back into the graph it describes, in one walk."""
+    labels, edges = [], []
+    todo = [(cert, ())]  # (node, the apexes above it); a cone's vertices precede its apex
+    while todo:
+        node, above = todo.pop()
+        if isinstance(node, DromsCone):
+            todo += [(DromsLeaf(node.apex), above), (node.child, above + (node.apex,))]
+        elif isinstance(node, DromsUnion):
+            todo += [(child, above) for child in reversed(node.children)]
+        else:  # a vertex, with an edge to every apex above it
+            labels.append(node.label)
+            edges += [(node.label, apex) for apex in above]
+    return Graph(labels, edges)
 
 
 @dataclass(frozen=True)
@@ -252,34 +256,42 @@ class DromsResult:
     witness: Optional[ForbiddenWitness] = None
 
 
+def _droms_tree(labels, adj, mask: int) -> Union[DromsNode, int]:
+    """The cone/union tree of the graph on the nonempty ``mask``, or if it is not
+    Droms the mask of its first connected piece with no central vertex."""
+    apexes = []
+    while mask & (mask - 1):
+        comps = _component_masks(len(adj), adj, mask)
+        if len(comps) > 1:  # a union, its children by smallest label
+            children = []
+            for comp in sorted(comps, key=lambda c: min(labels[i] for i in _bits(c))):
+                children.append(_droms_tree(labels, adj, comp))
+                if isinstance(children[-1], int):
+                    return children[-1]
+            node = DromsUnion(tuple(children))
+            break
+        centrals = [i for i in _bits(mask) if mask & ~adj[i] == 1 << i]
+        if not centrals:
+            return mask
+        apexes.append(min(centrals, key=labels.__getitem__))  # a cone's apex: the smallest label
+        mask ^= 1 << apexes[-1]
+    else:
+        node = DromsLeaf(labels[mask.bit_length() - 1])
+    for apex in reversed(apexes):
+        node = DromsCone(labels[apex], node)
+    return node
+
+
 def is_droms(g: Graph) -> DromsResult:
     """Cone/disjoint-union recursion; failure yields an induced P4 or C4."""
-    if g.n == 0:
-        return DromsResult(True, certificate=DromsUnion(()))
-    if g.n == 1:
-        return DromsResult(True, certificate=DromsLeaf(g.labels[0]))
-    comps = connected_components(g)
-    if len(comps) > 1:
-        children = []
-        for comp in comps:
-            sub = is_droms(g.induced(comp))
-            if not sub.droms:
-                return DromsResult(False, witness=sub.witness)
-            children.append(sub.certificate)
-        return DromsResult(True, certificate=DromsUnion(tuple(children)))
-    centrals = central_vertices(g)
-    if not centrals:
-        # connected with no dominating vertex forces one of the two patterns
-        for pattern in ("P4", "C4"):
-            hit = find_induced(g, pattern)
-            if hit is not None:
-                return DromsResult(False, witness=ForbiddenWitness(pattern, hit))
+    node = _droms_tree(g.labels, g.adj, (1 << g.n) - 1) if g.n else DromsUnion(())
+    if not isinstance(node, int):
+        return DromsResult(True, certificate=node)
+    # connected with no dominating vertex forces one of the two patterns
+    witness = _pattern_witness(g.induced(g.labels[i] for i in _bits(node)), ("P4", "C4"))
+    if witness is None:
         raise AssertionError("connected non-cone graph without induced P4 or C4")
-    apex = centrals[0]
-    sub = is_droms(g.without(apex))
-    if not sub.droms:
-        return DromsResult(False, witness=sub.witness)
-    return DromsResult(True, certificate=DromsCone(apex, sub.certificate))
+    return DromsResult(False, witness=witness)
 
 
 # -- ptolemaic graphs -----------------------------------------------------------------
@@ -341,28 +353,21 @@ class PtolemaicResult:
     witness: Optional[ForbiddenWitness] = None
 
 
-def _removable_step(g: Graph) -> Optional[BuildStep]:
-    """A vertex of chordal ``g`` removable as leaf, twin, or false twin, in label order."""
-    order = sorted(range(g.n), key=lambda i: g.labels[i])
+def _removable_step(adj, alive: int, order: list[int]) -> Optional[tuple[str, int, int]]:
+    """(kind, vertex, partner): the first leaf, twin or false twin in ``order``, the
+    alive vertices by label, of the chordal graph on ``alive``, with its first partner."""
     for i in order:
-        row = g.adj[i]
-        if row.bit_count() == 1:
-            u = next(_bits(row))
-            return BuildStep("leaf", g.labels[i], g.labels[u])
-    for i in order:
-        row = g.adj[i]
-        for j in order:
-            if j == i:
-                continue
-            if (row >> j) & 1 and (row & ~(1 << j)) == (g.adj[j] & ~(1 << i)):
-                return BuildStep("twin", g.labels[i], g.labels[j])
-    # g is chordal, so false twins have a complete neighbourhood: two non-adjacent
-    # common neighbours would close an induced C4 with them.
-    for i in order:
-        row = g.adj[i]
-        for j in order:
-            if j != i and not (row >> j) & 1 and g.adj[j] == row:
-                return BuildStep("false_twin", g.labels[i], g.labels[j])
+        if (row := adj[i] & alive).bit_count() == 1:
+            return "leaf", i, row.bit_length() - 1
+    # the graph is chordal, so false twins have a complete neighbourhood: two
+    # non-adjacent common neighbours would close an induced C4 with them.
+    for kind, closed in (("twin", 1), ("false_twin", 0)):
+        groups: dict[int, list[int]] = {}  # by N[v] or N(v), in the order of the first vertex
+        for i in order:
+            groups.setdefault(adj[i] & alive | closed << i, []).append(i)
+        for group in groups.values():
+            if len(group) > 1:
+                return kind, group[0], group[1]
     return None
 
 
@@ -395,15 +400,17 @@ def is_ptolemaic(g: Graph, chordality: Optional[ChordalityResult] = None) -> Pto
     if witness is not None:
         return PtolemaicResult(False, witness=witness)
     steps: list[BuildStep] = []
-    current = g
-    while current.n > 1:
-        step = _removable_step(current)
+    alive, order = (1 << g.n) - 1, sorted(range(g.n), key=g.labels.__getitem__)
+    while alive & (alive - 1):
+        step = _removable_step(g.adj, alive, order)
         if step is None:
             return PtolemaicResult(False, witness=_pattern_witness(g, ("GEM",)))
-        steps.append(step)
-        current = current.without(step.vertex)
+        kind, i, partner = step
+        steps.append(BuildStep(kind, g.labels[i], g.labels[partner]))
+        alive ^= 1 << i
+        order.remove(i)
     return PtolemaicResult(
-        True, certificate=PtolemaicSequence(current.labels[0], tuple(reversed(steps)))
+        True, certificate=PtolemaicSequence(g.labels[order[0]], tuple(reversed(steps)))
     )
 
 
@@ -455,7 +462,7 @@ class TreeOfDromsResult:
     witness: Optional[ForbiddenWitness] = None
 
 
-def _decompose(g: Graph, tree: BlockCutTree) -> Optional[DromsTreeDecomposition]:
+def _decompose(tree: BlockCutTree) -> Optional[DromsTreeDecomposition]:
     """Split at the smallest cut vertex, on an explicit stack, until every piece is one block.
 
     Each block becomes a node, or ends the walk with None if it is not Droms.
@@ -472,13 +479,13 @@ def _decompose(g: Graph, tree: BlockCutTree) -> Optional[DromsTreeDecomposition]
         if cuts is None:  # glue along the vertex labelled ``piece``
             edges.append((holding[piece][0], holding[piece][-1], piece))
         elif not cuts:
-            names = tree.names(piece)
-            sub = is_droms(g.induced(names))
-            if not sub.droms:
+            node = _droms_tree(tree.labels, tree.adj, piece)
+            if isinstance(node, int):
                 return None
+            names = tree.names(piece)
             for name in names:
                 holding.setdefault(name, []).append(len(nodes))
-            nodes.append(DromsTreeNode(names, sub.certificate))
+            nodes.append(DromsTreeNode(names, node))
         else:
             v = cuts & -cuts
             parts = tree.parts(piece, v.bit_length() - 1)
@@ -501,7 +508,7 @@ def is_tree_of_droms(
     witness = _connected_chordal_witness(g, chordality)
     if witness is not None:
         return TreeOfDromsResult(False, witness=witness)
-    dec = _decompose(g, block_cut_tree(g) if tree is None else tree)
+    dec = _decompose(block_cut_tree(g) if tree is None else tree)
     if dec is None:
         return TreeOfDromsResult(False, witness=_pattern_witness(g, ("GEM", "HBAR")))
     return TreeOfDromsResult(True, decomposition=dec)

@@ -16,8 +16,9 @@ that scans every vertex at each step, the canonical search with full
 refinement passes and orbits rebuilt for every branch, maximum-cardinality
 search that rescans every vertex per visit, the splits at cut vertices that
 induce each piece and search its cut vertices again (the tree-of-Droms
-decomposition, the structure derivation and its replay), and the blocks as
-the maximal cut-free vertex sets.
+decomposition, the structure derivation and its replay), the blocks as
+the maximal cut-free vertex sets, and the Droms recursion, the ptolemaic
+build and the cone/union replay that build a graph at every step.
 Keep these free of bbraag internals beyond the public Graph accessors.
 """
 
@@ -36,7 +37,18 @@ from bbraag.graphs import (
     is_connected,
 )
 from bbraag.invariants import STRUCTURE_DEPTH_LIMIT, ConeStrip, FreeSplit
-from bbraag.recognition import DromsTreeDecomposition, DromsTreeNode, is_droms
+from bbraag.recognition import (
+    BuildStep,
+    DromsCone,
+    DromsLeaf,
+    DromsResult,
+    DromsTreeDecomposition,
+    DromsTreeNode,
+    DromsUnion,
+    ForbiddenWitness,
+    PtolemaicSequence,
+    find_induced,
+)
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -841,13 +853,11 @@ def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> Generator:
     """Recursive split; its value is the index of a node containing ``anchor``.
 
     Splits at the smallest cut vertex while one exists; a piece with no cut
-    vertex is itself a connected Droms graph and becomes a tree node.
+    vertex becomes a tree node, whose certificate is None if it is not Droms.
     """
     cuts = cut_vertices(g)
     if not cuts:
-        sub = is_droms(g)
-        assert sub.droms, "cut-free piece of a tree of Droms graphs must be Droms"
-        nodes.append(DromsTreeNode(tuple(sorted(g.labels)), sub.certificate))
+        nodes.append(DromsTreeNode(tuple(sorted(g.labels)), rebuilding_is_droms(g).certificate))
         return len(nodes) - 1
     v = cuts[0]
     blocks = blocks_at(g, v).blocks
@@ -869,12 +879,94 @@ def _decompose(g: Graph, nodes, edges, anchor: Optional[str]) -> Generator:
     return main_idx
 
 
-def tree_of_droms_decomposition(g: Graph) -> DromsTreeDecomposition:
-    """The glued decomposition of a tree of Droms graphs, split piece by piece."""
+def tree_of_droms_decomposition(g: Graph) -> Optional[DromsTreeDecomposition]:
+    """The glued decomposition of a connected chordal graph, split piece by piece;
+    None if one of its blocks is not Droms."""
     nodes: list = []
     edges: list = []
     run_flat(_decompose(g, nodes, edges, None))
+    if any(node.certificate is None for node in nodes):
+        return None
     return DromsTreeDecomposition(tuple(nodes), tuple(edges))
+
+
+def rebuilding_is_droms(g: Graph) -> DromsResult:
+    """The Droms recursion on a new induced graph per component and per cone."""
+    if g.n == 0:
+        return DromsResult(True, certificate=DromsUnion(()))
+    if g.n == 1:
+        return DromsResult(True, certificate=DromsLeaf(g.labels[0]))
+    comps = connected_components(g)
+    if len(comps) > 1:
+        children = []
+        for comp in comps:
+            sub = rebuilding_is_droms(g.induced(comp))
+            if not sub.droms:
+                return sub
+            children.append(sub.certificate)
+        return DromsResult(True, certificate=DromsUnion(tuple(children)))
+    centrals = central_vertices(g)
+    if not centrals:
+        for pattern in ("P4", "C4"):
+            hit = find_induced(g, pattern)
+            if hit is not None:
+                return DromsResult(False, witness=ForbiddenWitness(pattern, hit))
+        raise AssertionError("connected non-cone graph without induced P4 or C4")
+    sub = rebuilding_is_droms(g.without(centrals[0]))
+    if not sub.droms:
+        return sub
+    return DromsResult(True, certificate=DromsCone(centrals[0], sub.certificate))
+
+
+def rebuilding_ptolemaic_build(g: Graph) -> Optional[PtolemaicSequence]:
+    """The leaf/twin build of a connected chordal graph on a new induced graph
+    per step; None if the build stalls."""
+    steps = []
+    while g.n > 1:
+        step = _scanning_removable_step(g)
+        if step is None:
+            return None
+        steps.append(step)
+        g = g.without(step.vertex)
+    return PtolemaicSequence(g.labels[0], tuple(reversed(steps)))
+
+
+def _scanning_removable_step(g: Graph) -> Optional[BuildStep]:
+    """The first leaf, then twin, then false twin in label order, with its first
+    partner, by scanning every vertex pair."""
+    order = sorted(range(g.n), key=lambda i: g.labels[i])
+    for i in order:
+        row = g.adj[i]
+        if row.bit_count() == 1:
+            u = next(_bits(row))
+            return BuildStep("leaf", g.labels[i], g.labels[u])
+    for i in order:
+        row = g.adj[i]
+        for j in order:
+            if j == i:
+                continue
+            if (row >> j) & 1 and (row & ~(1 << j)) == (g.adj[j] & ~(1 << i)):
+                return BuildStep("twin", g.labels[i], g.labels[j])
+    for i in order:
+        row = g.adj[i]
+        for j in order:
+            if j != i and not (row >> j) & 1 and g.adj[j] == row:
+                return BuildStep("false_twin", g.labels[i], g.labels[j])
+    return None
+
+
+def rebuilding_replay_droms(cert) -> Graph:
+    """A cone/union tree's graph, built node by node from its children's graphs."""
+    if isinstance(cert, DromsLeaf):
+        return Graph([cert.label])
+    if isinstance(cert, DromsUnion):
+        parts = [rebuilding_replay_droms(c) for c in cert.children]
+        return Graph([v for p in parts for v in p.labels], [e for p in parts for e in p.edges()])
+    child = rebuilding_replay_droms(cert.child)
+    return Graph(
+        list(child.labels) + [cert.apex],
+        child.edges() + [(v, cert.apex) for v in child.labels],
+    )
 
 
 def _derive_structure(g: Graph, depth: int = 0) -> Generator:

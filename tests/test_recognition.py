@@ -1,11 +1,13 @@
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations
 
 import pytest
 
 from bbraag.errors import DomainError
-from bbraag.graphs import Graph, cut_vertices, is_connected
+from bbraag.graphs import Graph, _bits, cut_vertices, is_connected
 from bbraag.patterns import (
     PATTERNS,
     complete_graph,
@@ -29,7 +31,15 @@ from bbraag.recognition import (
 )
 from bbraag.enumeration import connected_graphs
 
-from oracles import brute_isomorphic, scanning_find_induced, scanning_mcs_order
+from oracles import (
+    brute_isomorphic,
+    rebuilding_is_droms,
+    rebuilding_ptolemaic_build,
+    rebuilding_replay_droms,
+    scanning_find_induced,
+    scanning_mcs_order,
+    tree_of_droms_decomposition,
+)
 
 
 def stack_depth():
@@ -178,6 +188,11 @@ def test_find_induced_soundness():
                 assert brute_isomorphic(g.induced(hit), pat)
 
 
+def test_find_induced_unknown_pattern_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown pattern 'XYZ'; known: P4, C4, GEM, HBAR"):
+        find_induced(path_graph(4), "XYZ")
+
+
 def test_find_induced_complete_search():
     # absence agrees with a brute-force subset scan on small graphs
     from itertools import combinations
@@ -243,6 +258,110 @@ def test_droms_equals_pattern_freeness_exhaustive():
                 assert replay_droms(res.certificate) == g
             else:
                 assert_witness_induces(g, res.witness)
+
+
+def opaque_labels(rng, n):
+    """Distinct labels in random order: string order is not index order."""
+    return [f"{rng.choice('abxyz')}{k}" for k in rng.sample(range(1000), n)]
+
+
+def clique_attachment(rng, n):
+    """A connected chordal graph: each new vertex joins a random clique."""
+    adj, grow = [0] * n, rng.random()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        clique, cands = 1 << u, adj[u]
+        while cands and rng.random() < grow:
+            w = rng.choice(list(_bits(cands)))
+            clique, cands = clique | 1 << w, cands & adj[w]
+        for u in _bits(clique):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+def cone_union(rng, n):
+    """A Droms graph from random cones and unions, then one pair flipped half the time."""
+    adj, pieces = [0] * n, []
+    for v in range(n):
+        if pieces and rng.random() < 0.5:  # v is the apex of a cone over a piece
+            k = rng.randrange(len(pieces))
+            for u in _bits(pieces[k]):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            pieces[k] |= 1 << v
+        else:
+            pieces.append(1 << v)
+        if len(pieces) > 1 and rng.random() < 0.3:  # two pieces become one union
+            union = pieces.pop(rng.randrange(len(pieces)))
+            pieces[rng.randrange(len(pieces))] |= union
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    return adj
+
+
+def random_adj(rng, n):
+    p, adj = rng.random(), [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def test_mask_recognizers_match_rebuilding_oracles():
+    # The v <= 8 pins label vertices "0".."7", whose string order is index
+    # order; opaque labels in random order catch a label/index mix-up.
+    rng = random.Random(28)
+    for k in range(3000):
+        n = rng.randrange(2, 41)
+        adj = (clique_attachment, cone_union, clique_attachment, random_adj)[k % 4](rng, n)
+        labels = opaque_labels(rng, n)
+        g = Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in _bits(adj[i]) if i < j])
+        res = is_droms(g)
+        assert res == rebuilding_is_droms(g), g.edges()
+        if res.droms:
+            replayed, expect = replay_droms(res.certificate), rebuilding_replay_droms(res.certificate)
+            assert (replayed.labels, replayed.adj) == (expect.labels, expect.adj)
+            assert replayed == g
+        if is_connected(g) and is_chordal(g).chordal:
+            seq = rebuilding_ptolemaic_build(g)
+            ptol = is_ptolemaic(g)
+            assert ptol.certificate == seq, g.edges()
+            assert ptol.ptolemaic or ptol.witness.pattern == "GEM"
+            assert is_tree_of_droms(g).decomposition == tree_of_droms_decomposition(g), g.edges()
+
+
+RECOGNIZE_LARGE = """
+from bbraag.graphs import Graph
+from bbraag.patterns import complete_graph
+from bbraag.recognition import (
+    is_droms, is_ptolemaic, is_tree_of_droms, replay_droms, replay_tree_of_droms,
+)
+k = complete_graph(400)
+book = Graph(["a", "b"] + [f"p{i}" for i in range(3000)],
+             [("a", "b")] + [(s, f"p{i}") for i in range(3000) for s in "ab"])
+droms, ptol, tod = is_droms(k), is_ptolemaic(k), is_tree_of_droms(k)
+print(replay_droms(droms.certificate) == k, replay_tree_of_droms(tod.decomposition) == k,
+      ptol.ptolemaic, is_ptolemaic(book).ptolemaic, is_droms(book).droms)
+"""
+
+
+def test_recognizers_scale_to_cliques_and_books():
+    # A new graph per cone, per build step or per certificate node, or a
+    # vertex-pair scan per build step, costs seconds on K_400 or the book.
+    # The timeout only guards against that: it times nothing.
+    import bbraag
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bbraag.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", RECOGNIZE_LARGE], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 5
 
 
 # -- ptolemaic ---------------------------------------------------------------------------
