@@ -126,9 +126,6 @@ class Graph:
         adj = [_mask(pos[j] for j in _bits(self.adj[i] & mask)) for i in keep]
         return Graph.from_masks([self.labels[i] for i in keep], adj)
 
-    def without(self, v: str) -> "Graph":
-        return self.induced(set(self.labels) - {v})
-
     def relabeled(self, mapping: dict[str, str]) -> "Graph":
         return Graph.from_masks((mapping.get(v, v) for v in self.labels), self.adj)
 
@@ -174,15 +171,6 @@ def _component_masks(n: int, adj, universe: int | None = None) -> list[int]:
             comp |= frontier
         comps.append(comp)
         todo &= ~comp
-    return comps
-
-
-def connected_components(g: Graph) -> list[tuple[str, ...]]:
-    """Vertex sets of the components, ordered by smallest label."""
-    comps = []
-    for mask in _component_masks(g.n, g.adj):
-        comps.append(tuple(sorted(g.labels[i] for i in _bits(mask))))
-    comps.sort(key=lambda c: c[0])
     return comps
 
 

@@ -3,11 +3,13 @@
 Faces are graded by dimension and carried as index tuples in the graph's
 vertex order; boundary signs alternate over vertex deletions in that order.
 Reduced homology uses the augmented chain complex, so degree 0 counts
-components minus one and no degree is special-cased.  Homology in every ring
-is computed on the core of the complex.  Each boundary of the core is
-eliminated once, over Z, by sparse pivots into its invariant factors.  Every
-ring reads its ranks off those factors; over F_p the rank counts the factors p
-does not divide.
+components minus one.  Homology in every ring is computed on the core of the
+complex.  The two lowest boundaries are read off the 1-skeleton: the
+augmentation has the one factor 1, and an incidence matrix is totally
+unimodular, so the degree-1 boundary has v - c factors 1 for v vertices in c
+components.  Each boundary from degree 2 up is eliminated once, over Z, by
+sparse pivots into its invariant factors.  Every ring reads its ranks off
+those factors; over F_p the rank counts the factors p does not divide.
 
 A flag complex takes its core from its graph: in the 1-skeleton, v is
 dominated by u when N[v] lies inside N[u], so :func:`bbraag.graphs.dismantle`
@@ -39,7 +41,7 @@ from typing import Optional
 
 from .errors import CapacityError, DomainError
 from .formats import Result
-from .graphs import Dismantling, Graph, _bits, _mask, clique_levels, dismantle
+from .graphs import Dismantling, Graph, _bits, _component_masks, _mask, clique_levels, dismantle
 
 IntegerMatrix = list[list[int]]
 
@@ -134,9 +136,20 @@ class SimplicialComplex:
     def boundary_factors(self) -> tuple[tuple[int, ...], ...]:
         """Invariant factors of each boundary, degree 0 (the augmentation) to dim.
 
-        Computed once per complex, so every ring reads its ranks off one elimination.
+        Degree 0 is (1,) on a complex with a vertex.  Degree 1 is an incidence
+        matrix, totally unimodular, so its factors are v - c ones for v
+        vertices in c components (Schrijver 1986, section 19).  Elimination
+        starts at degree 2, once per complex, so every ring reads its ranks
+        off one elimination.
         """
-        return tuple(_elimination_factors(_boundary_entries(self, d)) for d in range(self.dim + 1))
+        n = self.face_count(0)
+        adj = [0] * n
+        for i, j in self.faces[1] if self.dim >= 1 else ():
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        low = ((1,) if n else (), (1,) * (n - len(_component_masks(n, adj))))
+        high = (_elimination_factors(_boundary_entries(self, d)) for d in range(2, self.dim + 1))
+        return low[: self.dim + 1] + tuple(high)
 
     @cached_property
     def core(self) -> SimplicialComplex:

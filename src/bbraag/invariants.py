@@ -10,9 +10,9 @@ dimensions with the Koszul Hilbert-series consistency check.  All arithmetic
 is exact integers; nothing here touches floating point.
 
 Each per-graph function accepts a Graph or an :class:`Analysis`; functions
-handed the same Analysis share its flag complex, chordality, homology,
-acyclicity and verdicts.  The report and the scans evaluate one inequality
-table, :data:`INEQUALITIES`.
+handed the same Analysis share its connectivity, flag complex, chordality,
+homology, acyclicity and verdicts.  The report and the scans evaluate one
+inequality table, :data:`INEQUALITIES`.
 """
 
 from __future__ import annotations
@@ -113,6 +113,10 @@ class Analysis:
         return collapse_to_point(self.complex)
 
     @_cached
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @_cached
     def block_cut_tree(self) -> BlockCutTree:
         return block_cut_tree(self.graph)
 
@@ -123,14 +127,18 @@ class Analysis:
     @_cached
     def tree_of_droms(self) -> TreeOfDromsResult:
         """Handed the chordality, and the block-cut tree whenever the decomposition reads it."""
-        tree = self.block_cut_tree if self.chordality.chordal and is_connected(self.graph) else None
+        tree = self.block_cut_tree if self.chordality.chordal and self.connected else None
         return is_tree_of_droms(self.graph, self.chordality, tree)
 
     def homology(self, ring: str) -> HomologyGroups:
-        tag = normalize_ring(ring)
-        if tag not in self._homology:
-            self._homology[tag] = reduced_homology(self.complex, tag)
-        return self._homology[tag]
+        """Cached under the tag as given and its normal form, so a repeated tag is not parsed again."""
+        hom = self._homology.get(ring)
+        if hom is None:
+            tag = normalize_ring(ring)
+            if tag not in self._homology:
+                self._homology[tag] = reduced_homology(self.complex, tag)
+            hom = self._homology[ring] = self._homology[tag]
+        return hom
 
     def acyclic(self, ring: str) -> bool:
         """Whether the reduced homology vanishes over the ring, decided on the core.
@@ -184,8 +192,10 @@ def finitely_presented_group(g: GraphOrAnalysis) -> str:
     """Three-valued: YES via collapsibility, NO via nonzero integral H_1, else UNKNOWN.
 
     A one-vertex core is a strong collapse to a point, which is a sequence of
-    elementary collapses; otherwise the greedy
-    :func:`~bbraag.homology.collapse_to_point` is tried.
+    elementary collapses.  A collapsible complex is contractible, hence
+    Z-acyclic, so the greedy :func:`~bbraag.homology.collapse_to_point` is
+    tried only when the integral homology vanishes; otherwise the answer is
+    UNKNOWN without it.
 
     Simple connectivity of the flag complex is what finite presentation of the
     group needs, and that is not decided here in general.
@@ -194,7 +204,7 @@ def finitely_presented_group(g: GraphOrAnalysis) -> str:
     hom = a.homology("Z")
     if hom.free_rank(1) or hom.torsion(1):
         return "NO"
-    if a.core.alive.bit_count() == 1 or a.collapse.collapsible:
+    if a.core.alive.bit_count() == 1 or hom.trivial() and a.collapse.collapsible:
         return "YES"
     return "UNKNOWN"
 
@@ -231,7 +241,7 @@ def bb_free(g: GraphOrAnalysis) -> BBFreeResult:
     """Free of rank v-1 exactly for trees."""
     a = _analysis(g)
     g = a.graph
-    if not is_connected(g):
+    if not a.connected:
         return BBFreeResult(False, None, "disconnected: not finitely generated")
     if g.edge_count == g.n - 1:
         return BBFreeResult(True, g.n - 1, "tree")
@@ -248,8 +258,9 @@ class BBAbelianResult(Result):
 
 def bb_abelian(g: GraphOrAnalysis) -> BBAbelianResult:
     """Abelian of rank v-1 exactly for complete graphs; needs g connected."""
-    g = _analysis(g).graph
-    if not is_connected(g):
+    a = _analysis(g)
+    g = a.graph
+    if not a.connected:
         raise DomainError("bb_abelian needs a connected graph")
     if g.edge_count == g.n * (g.n - 1) // 2:
         return BBAbelianResult(True, g.n - 1)
@@ -276,7 +287,7 @@ class SubgroupsRaagResult(Result):
 
 def subgroups_raag(g: GraphOrAnalysis) -> SubgroupsRaagResult:
     a = _analysis(g)
-    if not is_connected(a.graph):
+    if not a.connected:
         raise DomainError("subgroups_raag needs a connected graph")
     res = a.tree_of_droms
     if res.tree_of_droms:
@@ -345,7 +356,7 @@ def bb_structure_graph(g: GraphOrAnalysis) -> StructureGraph:
     """
     a = _analysis(g)
     g = a.graph
-    if not is_connected(g):
+    if not a.connected:
         raise DomainError("bb_structure_graph needs a nonempty connected graph")
     if not central_vertices(g) and not a.tree_of_droms.tree_of_droms:
         witness = a.tree_of_droms.witness
@@ -440,7 +451,7 @@ def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityRe
     (n = 0) is still checked.
     """
     a = _analysis(g)
-    if not is_connected(a.graph):
+    if not a.connected:
         return OmegaIdentityResult(False, "graph not connected")
     hom = a.homology(ring)
     if hom.free_rank(1) or hom.torsion(1):
@@ -608,7 +619,7 @@ def koszul_hilbert_check(
     if not is_field(tag):
         raise DomainError("koszul_hilbert_check needs a field")
     a = _analysis(g)
-    if not is_connected(a.graph):
+    if not a.connected:
         return HilbertCheckResult(False, "graph not connected", degree_bound)
     if not a.acyclic(tag):
         return HilbertCheckResult(
@@ -694,7 +705,7 @@ def invariant_report(
     field_tag = next((t for t in tags if t != "Z"), "Q")
     # first, so that a degree bound out of range stops the report before other work
     hilbert = koszul_hilbert_check(a, degree_bound, field_tag)
-    connected = is_connected(g)
+    connected = a.connected
     v, e = g.n, g.edge_count
     cd = a.dim + 1
     ring_reports = []

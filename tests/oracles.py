@@ -17,8 +17,9 @@ refinement passes and orbits rebuilt for every branch, maximum-cardinality
 search that rescans every vertex per visit, the splits at cut vertices that
 induce each piece and search its cut vertices again (the tree-of-Droms
 decomposition, the structure derivation and its replay), the blocks as
-the maximal cut-free vertex sets, and the Droms recursion, the ptolemaic
-build and the cone/union replay that build a graph at every step.
+the maximal cut-free vertex sets, the components by depth-first search
+over labels, and the Droms recursion, the ptolemaic build and the
+cone/union replay that build a graph at every step.
 Keep these free of bbraag internals beyond the public Graph accessors.
 """
 
@@ -32,7 +33,6 @@ from bbraag.errors import CapacityError, DomainError, GraphParseError
 from bbraag.graphs import (
     Graph,
     central_vertices,
-    connected_components,
     cut_vertices,
     is_connected,
 )
@@ -91,6 +91,31 @@ def mask_connected(n, adj) -> bool:
         frontier = grow & ~seen
         seen |= frontier
     return seen == (1 << n) - 1
+
+
+def connected_components(g: Graph) -> list[tuple[str, ...]]:
+    """Vertex sets of the components by depth-first search over labels, ordered by smallest label."""
+    seen: set[str] = set()
+    comps = []
+    for v in sorted(g.labels):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, comp = [v], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in g.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def without(g: Graph, v: str) -> Graph:
+    """The induced subgraph on every vertex but ``v``."""
+    return g.induced(set(g.labels) - {v})
 
 
 def count_connected_classes(n) -> int:
@@ -843,7 +868,7 @@ def blocks_at(g: Graph, v: str) -> BlockDecomposition:
     """Split ``g`` at cut vertex ``v``: one block per component of ``g - v``."""
     if not is_connected(g):
         raise DomainError("blocks_at needs a connected graph")
-    comps = connected_components(g.without(v))
+    comps = connected_components(without(g, v))
     if len(comps) < 2:
         raise DomainError(f"{v!r} is not a cut vertex")
     return BlockDecomposition(v, tuple(tuple(sorted(c + (v,))) for c in comps))
@@ -912,7 +937,7 @@ def rebuilding_is_droms(g: Graph) -> DromsResult:
             if hit is not None:
                 return DromsResult(False, witness=ForbiddenWitness(pattern, hit))
         raise AssertionError("connected non-cone graph without induced P4 or C4")
-    sub = rebuilding_is_droms(g.without(centrals[0]))
+    sub = rebuilding_is_droms(without(g, centrals[0]))
     if not sub.droms:
         return sub
     return DromsResult(True, certificate=DromsCone(centrals[0], sub.certificate))
@@ -927,7 +952,7 @@ def rebuilding_ptolemaic_build(g: Graph) -> Optional[PtolemaicSequence]:
         if step is None:
             return None
         steps.append(step)
-        g = g.without(step.vertex)
+        g = without(g, step.vertex)
     return PtolemaicSequence(g.labels[0], tuple(reversed(steps)))
 
 
@@ -995,7 +1020,7 @@ def replay_structure(g: Graph, derivation) -> Graph:
     if isinstance(derivation, ConeStrip):
         if derivation.apex not in central_vertices(g):
             raise DomainError(f"replay: {derivation.apex!r} is not central")
-        return g.without(derivation.apex)
+        return without(g, derivation.apex)
     if derivation.cut not in cut_vertices(g):
         raise DomainError(f"replay: {derivation.cut!r} is not a cut vertex")
     blocks = blocks_at(g, derivation.cut).blocks

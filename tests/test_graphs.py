@@ -17,7 +17,6 @@ from bbraag.graphs import (
     clique_euler,
     clique_masks,
     clique_number,
-    connected_components,
     cut_vertices,
     is_connected,
     maximal_clique_masks,
@@ -31,7 +30,7 @@ from bbraag.patterns import (
     star_graph,
 )
 
-from oracles import blocks_at, maximal_cut_free_sets, run_flat
+from oracles import blocks_at, connected_components, maximal_cut_free_sets, run_flat, without
 
 
 def test_run_flat_runs_deeper_than_the_stack():
@@ -104,10 +103,14 @@ def test_induced_keeps_the_index_order():
 
 
 def test_connected_components():
+    # the oracle, checked on its own and against is_connected
     assert connected_components(Graph([])) == []
     g = Graph("abcx", [("a", "b"), ("b", "c")])
     assert connected_components(g) == [("a", "b", "c"), ("x",)]
     assert connected_components(complete_graph(3)) == [("0", "1", "2")]
+    assert connected_components(without(g, "b")) == [("a",), ("c",), ("x",)]
+    for h in (Graph([]), g, without(g, "x"), complete_graph(3)):
+        assert is_connected(h) == (len(connected_components(h)) == 1)
 
 
 def test_cut_vertices_examples():
@@ -141,7 +144,7 @@ def test_cut_vertices_brute_force():
     for g in graphs:
         expect = [
             v for v in sorted(g.labels)
-            if len(connected_components(g.without(v))) > 1
+            if len(connected_components(without(g, v))) > 1
         ]
         assert cut_vertices(g) == expect, g
 

@@ -335,14 +335,15 @@ def test_four_rings_eliminate_each_boundary_once(monkeypatch):
     monkeypatch.setattr(bbraag.homology, "_elimination_factors", counting)
     for g in (projective_plane_poset_graph(), cycle_graph(7), complete_graph(6)):
         c = flag_complex(g)
+        # degrees 0 and 1 are read off the 1-skeleton; each boundary above is eliminated once
         for ring in RINGS:
             reduced_homology(c, ring)
-        assert len(calls) == c.core.dim + 1
+        assert len(calls) == max(c.core.dim - 1, 0)
         calls.clear()
         a = Analysis(g)
         for ring in RINGS:
             a.homology(ring)
-        assert len(calls) == c.core.dim + 1
+        assert len(calls) == max(c.core.dim - 1, 0)
         calls.clear()
 
 
@@ -799,6 +800,37 @@ def test_boundary_factors_against_oracle_v7():
     rp2 = flag_complex(projective_plane_poset_graph())
     assert_boundary_factors(rp2)
     assert rp2.boundary_factors[2].count(2) == 1  # the torsion, so F_2 sees what Q does not
+
+
+def test_low_boundary_factors_closed_form(monkeypatch):
+    import bbraag.homology
+
+    complexes = [
+        complex_from_facets(["abc", "xyz"]),  # two disjoint triangles
+        complex_from_facets(["ab", "ac", "bc", "x"]),  # a hollow triangle and a point
+        complex_from_facets(["a", "b", "c"]),  # isolated points only
+        complex_from_facets(RP2_FACETS),
+        complex_from_facets(["a"]),
+    ]
+    want = [((1,), (1,) * 4), ((1,), (1,) * 2), ((1,),), ((1,), (1,) * 5), ((1,),)]
+    # no elimination below degree 2: a complex of dimension at most 1 makes none
+    calls = []
+    real = bbraag.homology._elimination_factors
+    monkeypatch.setattr(
+        bbraag.homology, "_elimination_factors", lambda e: calls.append(1) or real(e)
+    )
+    for c, low in zip(complexes, want):
+        assert c.boundary_factors[:2] == low, c.labels
+        for d in range(min(c.dim, 1) + 1):
+            assert list(c.boundary_factors[d]) == invariant_factors(
+                integer_diagonal(boundary_matrix(c, d))
+            ), (c.labels, d)
+    assert len(calls) == 2  # degree 2 of the disjoint triangles and of RP^2 only
+    empty = SimplicialComplex((), ())
+    assert empty.boundary_factors == ()
+    assert reduced_homology(empty, "Z").groups == ()
+    assert reduced_homology(complexes[-1], "Z").groups == ((0, ()),)
+    assert reduced_homology(complexes[2], "Z").groups == ((2, ()),)
 
 
 def test_boundary_factors_on_large_random_cores():

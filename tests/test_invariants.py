@@ -531,6 +531,34 @@ def test_finitely_presented_group_one_vertex_core_skips_collapse(monkeypatch):
             assert finitely_presented_group(a) == greedy, g
 
 
+def test_finitely_presented_group_collapses_only_z_acyclic_complexes(monkeypatch):
+    # collapsible implies contractible implies Z-acyclic, so nonzero homology answers
+    # UNKNOWN without a collapse: S^2, S^4, and a graph of two components
+    import bbraag.invariants as inv
+
+    collapses = []
+    monkeypatch.setattr(inv, "collapse_to_point", lambda c: collapses.append(c))
+    cross5 = Graph(range(10), [(a, b) for a, b in combinations(range(10), 2) if b - a != 5])
+    disconnected = Graph("abcxy", [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y")])
+    for g in (octahedron(), cross5, disconnected):
+        a = Analysis(g)
+        assert not a.homology("Z").trivial()
+        assert finitely_presented_group(a) == "UNKNOWN"
+    assert collapses == []
+
+
+def test_report_checks_connectivity_once(monkeypatch):
+    calls = []
+    real = invariants.is_connected
+    monkeypatch.setattr(invariants, "is_connected", lambda g: calls.append(g) or real(g))
+    graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    graphs += [Graph([]), Graph("ab"), Graph("abcxy", [("a", "b"), ("b", "c"), ("x", "y")])]
+    for g in graphs:
+        invariant_report(g, rings=("Z", "Q", "Fp:2"))
+        assert calls == [g]
+        calls.clear()
+
+
 # -- report assembly ---------------------------------------------------------------------------
 
 
