@@ -66,11 +66,20 @@ bytes, grows each order from the decoded keys of the one below and keys
 every child.  Each predicate receives one
 :class:`~bbraag.invariants.Analysis` per graph, the context the report uses,
 on a :meth:`~bbraag.graphs.Graph.numbered` graph.
+
+A streamed child is its parent plus v over S, and its new cliques are v and
+v joined to each clique of S.  So its Euler characteristic is chi(parent) +
+1 - chi(Cl(S)) and its clique number max(omega(parent), 1 + omega(S)), and
+one clique walk over each parent and one over each S give both
+(:func:`_grow_seeded`), as nauty's geng tests a property while it generates
+(McKay-Piperno, "Practical graph isomorphism, II", 2014).  They seed the
+child's Analysis: 7,280 of the 11,117 streamed graphs of order 8 have
+chi != 1, so they are not acyclic and are never dismantled.  The held lower
+orders carry nothing but their masks, so their Analysis is unseeded.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,7 +88,7 @@ from typing import Callable, Iterator
 from . import _canon_py, _g6, kernel
 from .errors import CapacityError, DomainError
 from .formats import Result
-from .graphs import Graph, _bits, _component_masks, is_connected
+from .graphs import Graph, _bits, _component_masks, clique_euler_number, is_connected
 from .homology import normalize_ring
 from .invariants import INEQUALITIES, Analysis, koszul_hilbert_check, omega_identity_check
 from .recognition import find_induced, is_tree_of_droms, replay_tree_of_droms
@@ -107,6 +116,20 @@ def _grow(parents) -> Iterator[tuple[list[int], bytes | None]]:
     """The children of every parent in ``parents``: one order up, one per class."""
     for adj in parents:
         yield from _children(adj)
+
+
+def _grow_seeded(parents) -> Iterator[tuple[list[int], int, int]]:
+    """The children of :func:`_grow`, each with its Euler characteristic and clique number.
+
+    Both come from one clique walk over the parent and one over the new
+    vertex's neighbourhood S, the last mask of the child.
+    """
+    for adj in parents:
+        euler, number = clique_euler_number(adj, (1 << len(adj)) - 1)
+        for grown, _ in _children(adj):
+            # v and v joined to each clique of S are the child's new cliques
+            euler_s, number_s = clique_euler_number(adj, grown[-1])
+            yield grown, euler + 1 - euler_s, max(number, number_s + 1)
 
 
 def _children(adj: list[int]) -> Iterator[tuple[list[int], bytes | None]]:
@@ -430,18 +453,21 @@ def _scan(job) -> tuple[int, int, int, list[str]]:
     """Counts of one job ``(predicate, ring, children, graphs)``, and its failing graph6 keys.
 
     ``graphs`` are adjacency masks, one graph per class; with ``children``
-    their children are scanned instead.  Only a failing graph is keyed.
+    their children are scanned instead, each seeded with its Euler
+    characteristic and clique number.  Only a failing graph is keyed.
     """
     name, ring, children, graphs = job
     if children:
-        graphs = (grown for grown, _ in _grow(graphs))
+        seeded = _grow_seeded(graphs)
+    else:
+        seeded = ((adj, None, None) for adj in graphs)
     pred = PREDICATES[name]
     examined = applicable = passed = 0
     failing: list[str] = []
-    for adj in graphs:
+    for adj, euler, number in seeded:
         examined += 1
         g = Graph.numbered(adj)
-        is_app, ok = pred(Analysis(g), ring)
+        is_app, ok = pred(Analysis(g, euler, number), ring)
         if not is_app:
             continue
         applicable += 1
@@ -499,6 +525,9 @@ def scan_property(
     # Each order in up to 8 chunks per worker; one worker takes each order whole.
     jobs = _scan_jobs(predicate, ring, max_vertices, 8 * workers if workers > 1 else 1)
     if workers > 1:
+        # Imported here, so a process that scans on one worker never loads it.
+        import multiprocessing
+
         # The lower orders are generated here before the pool takes the chunks.
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan, list(jobs))

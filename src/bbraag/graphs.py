@@ -398,29 +398,40 @@ def clique_masks(n: int, adj) -> set[int]:
 def clique_euler(adj, universe: int) -> int:
     """Sum of (-1)^(|K|-1) over the nonempty cliques K inside ``universe``.
 
-    This is the Euler characteristic of the flag complex on ``universe``,
-    found by extending each clique by its common neighbours above its largest
-    vertex, so no clique is stored.  More than CLIQUE_BUDGET cliques raise
-    CapacityError.
+    This is the Euler characteristic of the flag complex on ``universe``;
+    see :func:`clique_euler_number`.
     """
-    total = count = 0
+    return clique_euler_number(adj, universe)[0]
+
+
+def clique_euler_number(adj, universe: int) -> tuple[int, int]:
+    """The Euler characteristic and the clique number of the graph on ``universe``.
+
+    One walk extends each clique by its common neighbours above its largest
+    vertex, so every clique is met once and none is stored; each clique K
+    adds (-1)^(|K|-1), and the deepest one is the clique number.  More than
+    CLIQUE_BUDGET cliques raise CapacityError.
+    """
+    total = count = number = 0
     budget = CLIQUE_BUDGET
-    # (candidates, sign): the cliques K + v for v in candidates, signed by |K| + 1
-    stack = [(universe, 1)]
+    # (candidates, size): the cliques K + v for v in candidates, of size |K| + 1
+    stack = [(universe, 1)] if universe else []
     while stack:
-        cands, sign = stack.pop()
+        cands, size = stack.pop()
         k = cands.bit_count()
-        total += sign * k
+        total += k if size & 1 else -k
         count += k
         if count > budget:
             _over_budget(count)
+        if size > number:
+            number = size
         while cands:
             low = cands & -cands
             cands ^= low
             grow = cands & adj[low.bit_length() - 1]
             if grow:
-                stack.append((grow, -sign))
-    return total
+                stack.append((grow, size + 1))
+    return total, number
 
 
 def all_cliques(g: Graph) -> list[tuple[str, ...]]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from math import gcd
 from operator import index
@@ -62,8 +62,13 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=32)
 def normalize_ring(ring: str) -> str:
-    """Canonical ring tag: "Z", "Q", or "Fp:<prime>" with ASCII decimal digits."""
+    """Canonical ring tag: "Z", "Q", or "Fp:<prime>" with ASCII decimal digits.
+
+    Every layer a tag passes through normalizes it again, so each tag is
+    parsed once and its normal form remembered (a bad tag raises each time).
+    """
     tag = ring.strip()
     if tag in ("Z", "Q"):
         return tag

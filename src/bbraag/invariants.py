@@ -41,7 +41,6 @@ from .homology import (
     SimplicialComplex,
     collapse_to_point,
     flag_complex,
-    is_field,
     normalize_ring,
     reduced_homology,
 )
@@ -88,11 +87,20 @@ class Analysis:
     complex is the strong-collapse core of the full one: most graphs are
     settled by the core's size or its clique Euler characteristic before any
     face is built.  The flag complex, when it is built, reduces to that core.
+
+    A caller that already knows the graph's Euler characteristic ``euler``
+    or its clique number ``clique_size`` may hand them in, as a scan does
+    from a child's parent; they must be the graph's own.  The seeded Euler
+    characteristic settles most graphs before the graph is dismantled, and
+    the seeded clique number is ``dim`` plus one.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, euler: Optional[int] = None, clique_size: Optional[int] = None):
         self.graph = g
         self._homology: dict[str, HomologyGroups] = {}
+        self._euler = euler
+        if clique_size is not None:
+            self.dim = clique_size - 1
 
     @_cached
     def complex(self) -> SimplicialComplex:
@@ -143,14 +151,19 @@ class Analysis:
     def acyclic(self, ring: str) -> bool:
         """Whether the reduced homology vanishes over the ring, decided on the core.
 
-        A one-vertex core is contractible.  Otherwise the Euler characteristic
-        of the core's cliques, a homotopy invariant, must be 1; only then is
-        homology computed.  The empty graph (Euler characteristic 0) is not
-        acyclic.
+        The Euler characteristic is a homotopy invariant, and an acyclic
+        complex has Euler characteristic 1.  So a seeded one other than 1
+        settles the answer first, before the graph is dismantled.  Then a
+        one-vertex core is contractible.  Without a seed the Euler
+        characteristic of the core's cliques is tested next, and only a
+        complex that passes both reaches homology.  The empty graph (Euler
+        characteristic 0) is not acyclic.
         """
+        if self._euler is not None and self._euler != 1:
+            return False
         if self.core.alive.bit_count() == 1:
             return True
-        if self._core_euler != 1:
+        if self._euler is None and self._core_euler != 1:
             return False
         return self.homology(ring).trivial()
 
@@ -569,7 +582,7 @@ def bb_cohomology_dimensions(g: GraphOrAnalysis, ring: str = "Q") -> CohomologyQ
     and rank r_{d+1} = f_d - rank r_d - b_d for the reduced Betti number b_d.
     """
     tag = normalize_ring(ring)
-    if not is_field(tag):
+    if tag == "Z":
         raise DomainError("bb_cohomology_dimensions needs a field (Q or Fp:<p>)")
     a = _analysis(g)
     hom = a.homology(tag)
@@ -616,7 +629,7 @@ def koszul_hilbert_check(
     if degree_bound > HILBERT_DEGREE_LIMIT:
         raise CapacityError(f"degree bound may not exceed {HILBERT_DEGREE_LIMIT}")
     tag = normalize_ring(ring)
-    if not is_field(tag):
+    if tag == "Z":
         raise DomainError("koszul_hilbert_check needs a field")
     a = _analysis(g)
     if not a.connected:

@@ -6,12 +6,15 @@ import pytest
 import bbraag.enumeration as enumeration
 from bbraag import _canon_py, _g6, kernel
 from bbraag.errors import CapacityError, DomainError
-from bbraag.graphs import canonical_form, is_connected
+from bbraag.graphs import Graph, canonical_form, clique_euler, clique_number, is_connected
+from bbraag.invariants import Analysis
 from bbraag.enumeration import (
     PREDICATES,
     _canonical_reps,
     _scan,
     _children as enumerate_children,
+    _grow as enumerate_grow,
+    _grow_seeded as enumerate_grow_seeded,
     connected_graph_count,
     connected_graphs,
     scan_dim_bound,
@@ -141,6 +144,93 @@ def test_scan_kernel_budget_v8(monkeypatch):
     rep = scan_property("acyclic_dim_bound", 8)
     assert (rep.examined, rep.applicable, rep.failed) == (12_113, 4_294, 0)
     assert calls[0] <= 2_801
+
+
+def held_orders(top):
+    """The labeled classes of orders 1 to top - 1, built as a scan holds them."""
+    levels = [[b"\x00"]]
+    for _ in range(2, top):
+        levels.append([bytes(grown) for grown, _ in enumerate_grow(levels[-1])])
+    return levels
+
+
+def seeded_children(top):
+    """(order, adjacency masks, seeded Euler characteristic, seeded clique number)
+    of every streamed child with 2 <= order <= top."""
+    for n, parents in enumerate(held_orders(top), start=2):
+        for grown, euler, number in enumerate_grow_seeded(parents):
+            yield n, grown, euler, number
+
+
+def test_seeded_children_match_whole_graph_walks():
+    # chi(child) = chi(parent) + 1 - chi(Cl(S)) and omega(child) = max(omega(parent),
+    # 1 + omega(S)), against the walk and the branch and bound on the whole child
+    examined = 0
+    for n, grown, euler, number in seeded_children(8):
+        assert euler == clique_euler(grown, (1 << n) - 1), grown
+        assert number == clique_number(Graph.numbered(grown)), grown
+        examined += 1
+    assert examined == sum(connected_graph_count(n) for n in range(2, 9))
+
+
+def assert_seeded_acyclic_agrees(top, bottom=2):
+    for n, grown, euler, number in seeded_children(top):
+        if n < bottom:
+            continue
+        g = Graph.numbered(grown)
+        seeded, unseeded = Analysis(g, euler, number), Analysis(g)
+        for ring in ("Z", "Q", "Fp:2", "Fp:3"):
+            assert seeded.acyclic(ring) == unseeded.acyclic(ring), (grown, ring)
+        assert seeded.dim == unseeded.dim, grown
+
+
+def test_seeded_acyclic_agrees_with_unseeded_v7():
+    assert_seeded_acyclic_agrees(7)
+
+
+@pytest.mark.slow
+def test_seeded_acyclic_agrees_with_unseeded_v8():
+    assert_seeded_acyclic_agrees(8, bottom=8)
+
+
+def count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_dim_bound_scan_predicate_budget_v8(monkeypatch):
+    # 7,280 of the 11,117 streamed graphs have a seeded Euler characteristic
+    # other than 1 and are never dismantled, and every streamed graph's
+    # dimension is its seeded clique number minus one; the 996 held graphs of
+    # the lower orders are unseeded.  Unseeded, the scan made 12,113
+    # dismantlings and 4,294 clique numbers.
+    import bbraag.invariants as inv
+
+    calls = count_calls(monkeypatch, inv, ("dismantle", "clique_number"))
+    rep = scan_property("acyclic_dim_bound", 8)
+    assert (rep.examined, rep.applicable, rep.failed) == (12_113, 4_294, 0)
+    assert calls["dismantle"] <= 4_833
+    assert calls["clique_number"] <= 496
+
+
+def test_turan_scan_clique_number_budget_v8(monkeypatch):
+    # only the 996 held graphs compute a clique number (12,113 unseeded)
+    import bbraag.invariants as inv
+
+    calls = count_calls(monkeypatch, inv, ("clique_number",))
+    rep = scan_property("turan_nonneg", 8)
+    assert (rep.examined, rep.applicable, rep.failed) == (12_113, 12_113, 0)
+    assert calls["clique_number"] <= 996
 
 
 def test_half_sums_map_every_subset():
@@ -301,6 +391,8 @@ def test_streamed_scan_fails_the_same_graphs(monkeypatch):
 
 
 def test_scan_workers_bounded(monkeypatch):
+    import multiprocessing
+
     import bbraag.enumeration as enumeration
 
     started = []
@@ -319,7 +411,7 @@ def test_scan_workers_bounded(monkeypatch):
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert scan_dim_bound(4, workers=10**6) == scan_dim_bound(4)
     assert started == [3]
     for bad in (0, -2):
