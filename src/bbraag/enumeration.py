@@ -75,13 +75,14 @@ one clique walk over each parent and one over each S give both
 (McKay-Piperno, "Practical graph isomorphism, II", 2014).  They seed the
 child's Analysis: 7,280 of the 11,117 streamed graphs of order 8 have
 chi != 1, so they are not acyclic and are never dismantled.  The held lower
-orders carry nothing but their masks, so their Analysis is unseeded.
+orders carry nothing but their masks, so their Analysis is unseeded, and
+so is every Analysis of a predicate that reads neither number (the
+tree-of-Droms scans), whose children are not walked.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -413,12 +414,14 @@ PREDICATES: dict[str, Predicate] = {
     "hilbert_consistency": _pred_hilbert_consistency,
     "hereditary_tree_of_droms": _pred_hereditary_tree_of_droms,
 }
+# The predicates that read a seeded Euler characteristic or clique number;
+# the streamed children of a scan are walked for seeds only for these.
+SEEDED = frozenset(PREDICATES) - {"tree_of_droms_equivalence", "hereditary_tree_of_droms"}
 
 
 # -- scan machinery ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ScanReport(Result):
     predicate: str
     ring: str
@@ -454,13 +457,15 @@ def _scan(job) -> tuple[int, int, int, list[str]]:
 
     ``graphs`` are adjacency masks, one graph per class; with ``children``
     their children are scanned instead, each seeded with its Euler
-    characteristic and clique number.  Only a failing graph is keyed.
+    characteristic and clique number when the predicate is in
+    :data:`SEEDED`.  Only a failing graph is keyed.
     """
     name, ring, children, graphs = job
-    if children:
+    if children and name in SEEDED:
         seeded = _grow_seeded(graphs)
     else:
-        seeded = ((adj, None, None) for adj in graphs)
+        grown = (adj for adj, _ in _grow(graphs)) if children else graphs
+        seeded = ((adj, None, None) for adj in grown)
     pred = PREDICATES[name]
     examined = applicable = passed = 0
     failing: list[str] = []

@@ -8,12 +8,13 @@ duplicate edge is a mask bit already set), in time linear in the text size;
 an edge list is split into lines one chunk at a time, not all at once.
 
 Results serialize through one encoder, :func:`to_json`: a :class:`Result`
-dataclass is the dict of its fields, each encoded in turn.
+record is the dict of its fields, each encoded in turn.
 """
 
 from __future__ import annotations
 
 from . import _g6
+from ._record import Record
 from .errors import GraphParseError, ValidationError
 from .graphs import Graph
 
@@ -126,14 +127,14 @@ def to_json(x):
     return x.to_json()
 
 
-class Result:
-    """Base of the frozen result dataclasses: the JSON of a result is its fields."""
+class Result(Record):
+    """Base of the frozen result records: the JSON of a result is its shown fields, in order."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
         out = {}
-        for name in self.__dataclass_fields__:
+        for name in self._shown:
             value = getattr(self, name)
             out[name] = value if type(value) in _SCALARS else to_json(value)
         return out

@@ -9,11 +9,11 @@ the structure queries and the canonical-labeling kernel fast without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import _g6, kernel
+from ._record import Record
 from .errors import CapacityError, DomainError
 
 CANONICAL_VERTEX_BOUND = 10
@@ -184,8 +184,7 @@ def cut_vertices(g: Graph) -> list[str]:
     return list(tree.names(tree.cuts))
 
 
-@dataclass(frozen=True)
-class BlockCutTree:
+class BlockCutTree(Record):
     """The blocks of a connected graph as vertex masks, with its cut vertices.
 
     Bit r is ``labels[r]``, the r-th smallest label; ``adj`` is renumbered so.
@@ -273,8 +272,7 @@ def central_vertices(g: Graph) -> list[str]:
     return sorted(g.labels[i] for i in range(g.n) if g.adj[i].bit_count() == want)
 
 
-@dataclass(frozen=True)
-class Dismantling:
+class Dismantling(Record):
     """Dominated-vertex deletions of a graph, as a replayable certificate.
 
     Replayed in order, each ``(removed, dominator)`` pair has N[removed]

@@ -32,13 +32,13 @@ and a heap of ids.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd
 from operator import index
 from typing import Optional
 
+from ._record import Record, cached
 from .errors import CapacityError, DomainError
 from .formats import Result
 from .graphs import Dismantling, Graph, _bits, _component_masks, _mask, clique_levels, dismantle
@@ -110,17 +110,17 @@ def _is_prime(p: int) -> bool:
 # -- complexes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Faces per dimension, as sorted index tuples into ``labels``.
 
     A flag complex also carries its graph's ``dismantling``, which gives its
-    core; equality ignores it.
+    core; equality and the repr ignore it.
     """
 
     labels: tuple[str, ...]
     faces: tuple[tuple[tuple[int, ...], ...], ...]
-    dismantling: Optional[Dismantling] = field(default=None, compare=False, repr=False)
+    dismantling: Optional[Dismantling] = None
+    _hidden = ("dismantling",)
 
     @property
     def dim(self) -> int:
@@ -137,7 +137,7 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(fs) for d, fs in enumerate(self.faces))
 
-    @cached_property
+    @cached
     def boundary_factors(self) -> tuple[tuple[int, ...], ...]:
         """Invariant factors of each boundary, degree 0 (the augmentation) to dim.
 
@@ -156,7 +156,7 @@ class SimplicialComplex:
         high = (_elimination_factors(_boundary_entries(self, d)) for d in range(2, self.dim + 1))
         return low[: self.dim + 1] + tuple(high)
 
-    @cached_property
+    @cached
     def core(self) -> SimplicialComplex:
         """The full subcomplex on what the dismantling left, else ``self``.
 
@@ -218,8 +218,7 @@ def boundary_matrix(c: SimplicialComplex, d: int) -> IntegerMatrix:
 # -- exact linear algebra ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Invariant factors d_1 | d_2 | ... of an integer matrix."""
 
     factors: tuple[int, ...]
@@ -385,7 +384,6 @@ def _elimination_factors(entries) -> tuple[int, ...]:
 # -- homology ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HomologyGroups(Result):
     """Reduced homology per degree 0..dim: free rank plus torsion factors > 1."""
 
@@ -444,7 +442,6 @@ def is_acyclic(c: SimplicialComplex, ring: str) -> bool:
 # -- collapsibility -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CollapseResult(Result):
     collapsible: bool
     sequence: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]

@@ -17,10 +17,10 @@ inequality table, :data:`INEQUALITIES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
+from ._record import cached
 from .errors import CapacityError, DomainError, NotSupportedError
 from .formats import Result, format_graph6, graph_json
 from .graphs import (
@@ -55,27 +55,6 @@ from .recognition import (
 # -- shared per-graph context ----------------------------------------------------
 
 
-class _cached:
-    """``functools.cached_property`` without the lock it takes before Python 3.12.
-
-    The first access stores the value in the instance dict, which later
-    accesses read without calling the descriptor.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class Analysis:
     """What one call derives from one graph, each part computed at most once.
 
@@ -102,37 +81,37 @@ class Analysis:
         if clique_size is not None:
             self.dim = clique_size - 1
 
-    @_cached
+    @cached
     def complex(self) -> SimplicialComplex:
         """The flag complex, handed ``core`` so the graph is dismantled once."""
         return flag_complex(self.graph, self.core)
 
-    @_cached
+    @cached
     def core(self) -> Dismantling:
         return dismantle(self.graph)
 
-    @_cached
+    @cached
     def dim(self) -> int:
         """Dimension of the flag complex: the clique number minus one."""
         return clique_number(self.graph) - 1
 
-    @_cached
+    @cached
     def collapse(self) -> CollapseResult:
         return collapse_to_point(self.complex)
 
-    @_cached
+    @cached
     def connected(self) -> bool:
         return is_connected(self.graph)
 
-    @_cached
+    @cached
     def block_cut_tree(self) -> BlockCutTree:
         return block_cut_tree(self.graph)
 
-    @_cached
+    @cached
     def chordality(self) -> ChordalityResult:
         return is_chordal(self.graph)
 
-    @_cached
+    @cached
     def tree_of_droms(self) -> TreeOfDromsResult:
         """Handed the chordality, and the block-cut tree whenever the decomposition reads it."""
         tree = self.block_cut_tree if self.chordality.chordal and self.connected else None
@@ -167,7 +146,7 @@ class Analysis:
             return False
         return self.homology(ring).trivial()
 
-    @_cached
+    @cached
     def _core_euler(self) -> int:
         return clique_euler(self.graph.adj, self.core.alive)
 
@@ -225,7 +204,6 @@ def finitely_presented_group(g: GraphOrAnalysis) -> str:
 # -- coherence / freeness / abelianness ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoherenceResult(Result):
     coherent: bool
     chordality: ChordalityResult
@@ -243,7 +221,6 @@ def coherence(g: GraphOrAnalysis) -> CoherenceResult:
     return CoherenceResult(res.chordal, res)
 
 
-@dataclass(frozen=True)
 class BBFreeResult(Result):
     free: bool
     rank: Optional[int]
@@ -263,7 +240,6 @@ def bb_free(g: GraphOrAnalysis) -> BBFreeResult:
     return BBFreeResult(False, None, "contains an induced cycle: not finitely presented subobject")
 
 
-@dataclass(frozen=True)
 class BBAbelianResult(Result):
     abelian: bool
     rank: Optional[int]
@@ -280,7 +256,6 @@ def bb_abelian(g: GraphOrAnalysis) -> BBAbelianResult:
     return BBAbelianResult(False, None)
 
 
-@dataclass(frozen=True)
 class SubgroupsRaagResult(Result):
     """Whether every subgroup of the Bestvina-Brady group is again a RAAG."""
 
@@ -323,7 +298,6 @@ def subgroups_raag(g: GraphOrAnalysis) -> SubgroupsRaagResult:
 STRUCTURE_DEPTH_LIMIT = 400
 
 
-@dataclass(frozen=True)
 class ConeStrip(Result):
     apex: str
 
@@ -331,7 +305,6 @@ class ConeStrip(Result):
         return {"op": "cone_strip", "apex": self.apex}
 
 
-@dataclass(frozen=True)
 class FreeSplit(Result):
     cut: str
     parts: tuple["Derivation", ...]
@@ -343,7 +316,6 @@ class FreeSplit(Result):
 Derivation = Union[ConeStrip, FreeSplit]
 
 
-@dataclass(frozen=True)
 class StructureGraph(Result):
     """Defining graph of a RAAG isomorphic to the Bestvina-Brady object."""
 
@@ -445,7 +417,6 @@ def _omega_raw(b1: int, b2: int, cd: int) -> int:
     return (cd - 1) * b1 * b1 - 2 * cd * b2
 
 
-@dataclass(frozen=True)
 class OmegaIdentityResult(Result):
     applicable: bool
     reason: str
@@ -476,7 +447,6 @@ def omega_identity_check(g: GraphOrAnalysis, ring: str = "Q") -> OmegaIdentityRe
     return OmegaIdentityResult(True, "", lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
 class InequalityOutcome(Result):
     name: str
     applicable: bool
@@ -556,7 +526,6 @@ def inequality_checks(g: GraphOrAnalysis, ring: str = "Z") -> dict[str, Inequali
 # -- graded cohomology of the Bestvina-Brady object ---------------------------------------
 
 
-@dataclass(frozen=True)
 class CohomologyQuotient(Result):
     """Graded dimensions of the exterior face algebra modulo the length character.
 
@@ -599,7 +568,6 @@ def bb_cohomology_dimensions(g: GraphOrAnalysis, ring: str = "Q") -> CohomologyQ
 HILBERT_DEGREE_LIMIT = 1_000
 
 
-@dataclass(frozen=True)
 class HilbertCheckResult(Result):
     applicable: bool
     reason: str
@@ -660,7 +628,6 @@ def koszul_hilbert_check(
 # -- full report ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RingReport(Result):
     ring: str
     fp_type: Optional[int]
@@ -676,7 +643,6 @@ class RingReport(Result):
         return out
 
 
-@dataclass(frozen=True)
 class InvariantReport(Result):
     graph6: str
     v: int
@@ -697,7 +663,7 @@ class InvariantReport(Result):
     structure: Optional[StructureGraph]
     structure_error: str
     omega_identity: OmegaIdentityResult
-    inequalities: dict[str, InequalityOutcome] = field(default_factory=dict)
+    inequalities: dict[str, InequalityOutcome]
     hilbert: Optional[HilbertCheckResult] = None
     cohomology: Optional[CohomologyQuotient] = None
 

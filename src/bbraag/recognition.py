@@ -9,9 +9,9 @@ answer carries a vertex subset inducing one of the obstruction patterns.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import Record
 from .errors import CapacityError, DomainError
 from .formats import Result
 from .graphs import (
@@ -41,7 +41,6 @@ def check_recognition_size(g: Graph) -> None:
         )
 
 
-@dataclass(frozen=True)
 class ForbiddenWitness(Result):
     """A pattern name plus the vertices of the input that induce it."""
 
@@ -52,8 +51,7 @@ class ForbiddenWitness(Result):
 # -- chordality -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordalityResult:
+class ChordalityResult(Record):
     chordal: bool
     elimination_order: Optional[tuple[str, ...]] = None
     witness: Optional[ForbiddenWitness] = None
@@ -205,7 +203,6 @@ def find_induced(g: Graph, pattern: str) -> Optional[tuple[str, ...]]:
 # -- Droms graphs -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DromsLeaf(Result):
     label: str
 
@@ -213,7 +210,6 @@ class DromsLeaf(Result):
         return {"kind": "vertex", "label": self.label}
 
 
-@dataclass(frozen=True)
 class DromsCone(Result):
     apex: str
     child: "DromsNode"
@@ -222,7 +218,6 @@ class DromsCone(Result):
         return {"kind": "cone", "apex": self.apex, "child": self.child.to_json()}
 
 
-@dataclass(frozen=True)
 class DromsUnion(Result):
     children: tuple["DromsNode", ...]
 
@@ -249,8 +244,7 @@ def replay_droms(cert: DromsNode) -> Graph:
     return Graph(labels, edges)
 
 
-@dataclass(frozen=True)
-class DromsResult:
+class DromsResult(Record):
     droms: bool
     certificate: Optional[DromsNode] = None
     witness: Optional[ForbiddenWitness] = None
@@ -297,14 +291,12 @@ def is_droms(g: Graph) -> DromsResult:
 # -- ptolemaic graphs -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BuildStep(Result):
     kind: str  # "leaf" | "twin" | "false_twin"
     vertex: str
     attached_to: str
 
 
-@dataclass(frozen=True)
 class PtolemaicSequence(Result):
     base: str
     steps: tuple[BuildStep, ...]
@@ -346,8 +338,7 @@ def replay_ptolemaic(seq: PtolemaicSequence) -> Graph:
     return Graph(labels, edges)
 
 
-@dataclass(frozen=True)
-class PtolemaicResult:
+class PtolemaicResult(Record):
     ptolemaic: bool
     certificate: Optional[PtolemaicSequence] = None
     witness: Optional[ForbiddenWitness] = None
@@ -434,13 +425,11 @@ def find_cut_or_central(g: Graph) -> tuple[str, str]:
     return ("cut", min(v for _, _, v in res.decomposition.edges))
 
 
-@dataclass(frozen=True)
 class DromsTreeNode(Result):
     vertices: tuple[str, ...]
     certificate: DromsNode
 
 
-@dataclass(frozen=True)
 class DromsTreeDecomposition(Result):
     """Connected Droms pieces glued along cut vertices; edges are (parent, child, vertex)."""
 
@@ -455,8 +444,7 @@ def replay_tree_of_droms(dec: DromsTreeDecomposition) -> Graph:
     return Graph(labels, [e for piece in pieces for e in piece.edges()])
 
 
-@dataclass(frozen=True)
-class TreeOfDromsResult:
+class TreeOfDromsResult(Record):
     tree_of_droms: bool
     decomposition: Optional[DromsTreeDecomposition] = None
     witness: Optional[ForbiddenWitness] = None

@@ -233,6 +233,21 @@ def test_turan_scan_clique_number_budget_v8(monkeypatch):
     assert calls["clique_number"] <= 996
 
 
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+def test_seed_walks_only_for_predicates_that_read_them(name, monkeypatch):
+    # A seeded scan walks each of the 21 parents of order 5 and each of the
+    # 112 streamed children of order 6 once; the tree-of-Droms predicates read
+    # neither seed and walk none.  Seeding every predicate changes no answer.
+    calls = count_calls(monkeypatch, enumeration, ("clique_euler_number",))
+    rep = scan_property(name, 6)
+    if name in ("tree_of_droms_equivalence", "hereditary_tree_of_droms"):
+        assert calls["clique_euler_number"] == 0
+    else:
+        assert calls["clique_euler_number"] == 21 + 112
+    monkeypatch.setattr(enumeration, "SEEDED", frozenset(PREDICATES))
+    assert scan_property(name, 6).to_json() == rep.to_json()
+
+
 def test_half_sums_map_every_subset():
     # A subset's image under a permutation, and its sum of degrees, from two
     # tables of at most 2^ceil(m/2) entries.
